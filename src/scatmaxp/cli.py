@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path as FsPath
 
@@ -87,7 +85,7 @@ def _coerce(name: str, kind: str, raw: str):
         return int(raw)
     if kind == "float":
         return float(raw)
-    if kind == "optfloat":
+    if kind == "float | None":
         return None if raw.lower() in ("none", "") else float(raw)
     if kind == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
@@ -95,22 +93,13 @@ def _coerce(name: str, kind: str, raw: str):
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"config key {name}: expected a boolean, got {raw!r}")
-    if kind == "grid":
+    if kind == "tuple[int, ...]":
         parts = raw.lower().split("x")
         return tuple(int(p) for p in parts) if len(parts) > 1 else (int(raw), int(raw))
     return raw
 
 
-_FIELD_KINDS = {
-    "j": "int", "l": "int", "grid": "grid", "sigma0": "float", "xi0": "float",
-    "slant": "optfloat", "equalize": "bool", "bank_kind": "str", "mode": "str",
-    "depth": "int", "policy": "str", "pool_blocks": "int", "pool_factor": "float",
-    "strict_pooling": "bool", "subsample_outputs": "bool", "format": "str",
-    "out": "str", "seed": "int", "suites": "str", "verify_depth": "int",
-    "trials_contraction": "int",
-    "trials_commutation": "int", "trials_equivariance": "int", "energy_inputs": "int",
-    "decay_inputs": "int", "bench_batch": "int", "bench_modes": "str", "n_classes": "int",
-}
+_FIELD_KINDS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -138,38 +127,13 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    mapping = {
-        "j": "j", "l": "l", "grid": "grid", "sigma0": "sigma0", "xi0": "xi0",
-        "slant": "slant", "bank_kind": "bank_kind", "mode": "mode", "depth": "depth",
-        "policy": "policy", "pool_blocks": "pool_blocks", "pool_factor": "pool_factor",
-        "format": "format", "out": "out", "seed": "seed", "suites": "suites",
-        "trials_contraction": "trials_contraction", "trials_commutation": "trials_commutation",
-        "trials_equivariance": "trials_equivariance", "energy_inputs": "energy_inputs",
-        "decay_inputs": "decay_inputs", "verify_depth": "verify_depth",
-        "batch": "bench_batch", "modes": "bench_modes",
-        "n_classes": "n_classes",
-    }
+    """Overlay every flag given on the command line; argparse dests are the field names."""
     updates = {}
-    for arg_name, field_name in mapping.items():
-        value = getattr(args, arg_name, None)
+    for name, kind in _FIELD_KINDS.items():
+        value = getattr(args, name, None)
         if value is not None:
-            if field_name == "grid":
-                value = _coerce("grid", "grid", value)
-            updates[field_name] = value
-    if getattr(args, "strict_pooling", False):
-        updates["strict_pooling"] = True
-    if getattr(args, "subsample_outputs", False):
-        updates["subsample_outputs"] = True
-    if getattr(args, "raw_bank", False):
-        updates["equalize"] = False
+            updates[name] = _coerce(name, kind, value) if name == "grid" else value
     return replace(cfg, **updates)
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SCATMAXP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_json(path: FsPath, payload: dict) -> None:
@@ -280,12 +244,7 @@ def _scatter_one(cfg: RunConfig, input_path: str) -> str:
 
 
 def cmd_scatter(cfg: RunConfig, inputs: list[str]) -> int:
-    workers = min(_max_workers(), len(inputs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            messages = list(pool.map(lambda p: _scatter_one(cfg, p), inputs))
-    else:
-        messages = [_scatter_one(cfg, p) for p in inputs]
+    messages = [_scatter_one(cfg, p) for p in inputs]
     for message in messages:
         print(message)
     return EXIT_PASS
@@ -294,7 +253,8 @@ def cmd_scatter(cfg: RunConfig, inputs: list[str]) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     vconfig = VerifyConfig(
         seed=cfg.seed, grid=cfg.grid, J=cfg.j, L=cfg.l, bank_kind=cfg.bank_kind,
-        equalize=cfg.equalize, block_samples=cfg.pool_blocks, pool_factor=cfg.pool_factor,
+        equalize=cfg.equalize, morlet_params=MorletParams(cfg.sigma0, cfg.xi0, cfg.slant),
+        block_samples=cfg.pool_blocks, pool_factor=cfg.pool_factor,
         allowed_factors=(cfg.pool_factor,), max_depth=cfg.verify_depth,
         strict_pooling=cfg.strict_pooling,
     )
@@ -342,18 +302,13 @@ def cmd_bench(cfg: RunConfig) -> int:
     bank = cfg.make_bank(cfg.grid)
     modes = [m.strip() for m in cfg.bench_modes.split(",") if m.strip()]
     results = {}
-    workers = min(_max_workers(), len(batch))
     for mode in modes:
-        run = lambda f: compute_tree(  # noqa: E731
-            f, bank, mode=mode, max_depth=cfg.depth, policy=cfg.policy,
-            pool_cfg=cfg.pool_config(),
-        )
         start = time.perf_counter()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                trees = list(pool.map(run, batch))
-        else:
-            trees = [run(f) for f in batch]
+        trees = [
+            compute_tree(f, bank, mode=mode, max_depth=cfg.depth, policy=cfg.policy,
+                         pool_cfg=cfg.pool_config())
+            for f in batch
+        ]
         elapsed = time.perf_counter() - start
         tree = trees[0]
         per_layer = {
@@ -417,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("-L", dest="l", type=int, help="rotation count")
             p.add_argument("--grid", help="grid samples, N or N0xN1")
             p.add_argument("--bank-kind", dest="bank_kind", choices=["morlet", "partition"])
-            p.add_argument("--raw-bank", action="store_true",
+            p.add_argument("--raw-bank", dest="equalize", action="store_false", default=None,
                            help="skip the Littlewood-Paley equalization step")
 
     p = sub.add_parser("filterbank", help="export filters and frame diagnostics")
@@ -436,8 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="samples per pooling sub-plate per axis (default 2)")
     p.add_argument("--pool-factor", dest="pool_factor", type=float,
                    help="plate shrink factor S (default 2)")
-    p.add_argument("--strict-pooling", dest="strict_pooling", action="store_true")
-    p.add_argument("--subsample-outputs", dest="subsample_outputs", action="store_true")
+    p.add_argument("--strict-pooling", dest="strict_pooling", action="store_true", default=None)
+    p.add_argument("--subsample-outputs", dest="subsample_outputs", action="store_true",
+                   default=None)
     p.add_argument("--format", choices=["sgrid-manifest", "csv"])
     p.add_argument("--n-classes", dest="n_classes", type=int)
 
@@ -446,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suites", help="comma list: contraction,commutation,energy,decay,equivariance")
     p.add_argument("--depth", dest="verify_depth", type=int)
     p.add_argument("--pool-factor", dest="pool_factor", type=float)
-    p.add_argument("--strict-pooling", dest="strict_pooling", action="store_true")
+    p.add_argument("--strict-pooling", dest="strict_pooling", action="store_true", default=None)
     p.add_argument("--trials-contraction", dest="trials_contraction", type=int)
     p.add_argument("--trials-commutation", dest="trials_commutation", type=int)
     p.add_argument("--trials-equivariance", dest="trials_equivariance", type=int)
@@ -455,8 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="feature-extraction throughput and size accounting")
     common(p)
-    p.add_argument("--modes", help="comma list of cascade modes")
-    p.add_argument("--batch", type=int, help="synthetic batch size")
+    p.add_argument("--modes", dest="bench_modes", metavar="MODES",
+                   help="comma list of cascade modes")
+    p.add_argument("--batch", dest="bench_batch", metavar="BATCH", type=int,
+                   help="synthetic batch size")
     p.add_argument("--depth", type=int)
     p.add_argument("--policy", choices=["full", "frequency_decreasing"])
     p.add_argument("--n-classes", dest="n_classes", type=int)
@@ -474,16 +432,10 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_scatter(cfg, args.inputs)
         if args.command == "verify":
             return cmd_verify(cfg)
-        if args.command == "bench":
-            return cmd_bench(cfg)
-        parser.error(f"unknown command {args.command!r}")
-    except ValueError as exc:
+        return cmd_bench(cfg)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

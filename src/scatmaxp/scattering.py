@@ -8,15 +8,14 @@ once (stride 3), without per-layer theory.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, prod
 
 import numpy as np
 
 from .filterbank import FilterBank, FilterIndex
 from .grid import Plate, SignalGrid, convolve
-from .pooling import max_pool, partition_plate
+from .pooling import _block_maxima, max_pool, partition_plate
 
 Path = tuple[FilterIndex, ...]
 
@@ -48,24 +47,23 @@ def enumerate_paths(bank: FilterBank, m: int, policy: str = "full") -> list[Path
 
     "full" yields every combination, (J*L)^m paths.  "frequency_decreasing"
     keeps only strictly increasing scale indices along the path (scales only
-    coarsen), the standard cost reduction.
+    coarsen), the standard cost reduction.  Paths come in sorted order, the
+    breadth-first order in which :func:`compute_tree` evaluates them.
     """
     if m < 0:
         raise ValueError(f"path length must be >= 0, got {m}")
+    if policy not in ("full", "frequency_decreasing"):
+        raise ValueError(f"unknown path policy {policy!r}")
     indices = bank.indices
-    if policy == "full":
-        return [tuple(p) for p in itertools.product(indices, repeat=m)]
-    if policy == "frequency_decreasing":
-        by_scale: dict[int, list[FilterIndex]] = {}
-        for lam in indices:
-            by_scale.setdefault(lam.j, []).append(lam)
-        scales = sorted(by_scale)
-        paths = []
-        for combo in itertools.combinations(scales, m):
-            pools = [by_scale[j] for j in combo]
-            paths.extend(tuple(p) for p in itertools.product(*pools))
-        return paths
-    raise ValueError(f"unknown path policy {policy!r}")
+    paths = [EMPTY_PATH]
+    for _ in range(m):
+        paths = [
+            parent + (lam,)
+            for parent in paths
+            for lam in indices
+            if policy == "full" or not parent or lam.j > parent[-1].j
+        ]
+    return paths
 
 
 def count_paths(J: int, L: int, m: int, policy: str = "full") -> int:
@@ -172,29 +170,19 @@ def compute_tree(
         pool_cfg = PoolConfig()
 
     root_spacing = f.plate.spacing[0]
-    nodes: dict[Path, SignalGrid] = {EMPTY_PATH: f}
-    frontier: list[Path] = [EMPTY_PATH]
+    # depth 0 is the root alone; enumerating it also rejects an unknown policy
+    nodes: dict[Path, SignalGrid] = dict.fromkeys(enumerate_paths(bank, 0, policy), f)
     for depth in range(1, max_depth + 1):
-        next_frontier: list[Path] = []
-        for parent in frontier:
-            g = nodes[parent]
+        for path in enumerate_paths(bank, depth, policy):
+            g = nodes[path[:-1]]
             ratio = g.plate.spacing[0] / root_spacing
-            last_scale = parent[-1].j if parent else None
-            for lam in bank.indices:
-                if policy == "frequency_decreasing" and last_scale is not None:
-                    if lam.j <= last_scale:
-                        continue
-                path = parent + (lam,)
-                if mode == "maxp":
-                    try:
-                        child = propagate_pooled(g, lam, bank, pool_cfg, ratio, conv_method)
-                    except ValueError as exc:
-                        raise ValueError(f"pooling failed at depth {depth}: {exc}") from exc
-                else:
-                    child = propagate_one(g, lam, bank, ratio, conv_method)
-                nodes[path] = child
-                next_frontier.append(path)
-        frontier = next_frontier
+            if mode == "maxp":
+                try:
+                    nodes[path] = propagate_pooled(g, path[-1], bank, pool_cfg, ratio, conv_method)
+                except ValueError as exc:
+                    raise ValueError(f"pooling failed at depth {depth}: {exc}") from exc
+            else:
+                nodes[path] = propagate_one(g, path[-1], bank, ratio, conv_method)
 
     outputs: dict[Path, SignalGrid] = {}
     for path, g in nodes.items():
@@ -236,11 +224,7 @@ def strided_block_max(f: SignalGrid, block: int) -> SignalGrid:
     if any(n == 0 for n in n_out):
         raise ValueError(f"grid {f.shape} is smaller than the pooling block {block}")
     crop = tuple(slice(0, n * block) for n in n_out)
-    mags = np.abs(f.values[crop])
-    shape = []
-    for n in n_out:
-        shape.extend((n, block))
-    maxima = mags.reshape(shape).max(axis=tuple(range(1, 2 * len(n_out), 2)))
+    maxima = _block_maxima(np.abs(f.values[crop]), n_out)
     kept = tuple(
         s * (n * block) / total
         for s, n, total in zip(f.plate.side_lengths, n_out, f.plate.samples_per_axis)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .filterbank import FilterBank, build_morlet_bank, build_partition_bank, frame_defect, theorem_constant_B
+from .filterbank import FilterBank, MorletParams, build_morlet_bank, build_partition_bank, frame_defect, theorem_constant_B
 from .grid import (
     SignalGrid,
     l2_diff_on_common_torus,
@@ -110,6 +110,7 @@ class VerifyConfig:
     L: int = 2
     bank_kind: str = "morlet"  # or "partition"
     equalize: bool = True
+    morlet_params: MorletParams = MorletParams()
     block_samples: int = 2
     pool_factor: float = 2.0
     allowed_factors: tuple[float, ...] = (2.0,)
@@ -123,7 +124,7 @@ class VerifyConfig:
         shape = tuple(shape or self.grid)
         if self.bank_kind == "partition":
             return build_partition_bank(self.J, self.L, shape)
-        return build_morlet_bank(self.J, self.L, shape, equalize=self.equalize)
+        return build_morlet_bank(self.J, self.L, shape, self.morlet_params, self.equalize)
 
     def pool_config(self) -> PoolConfig:
         return PoolConfig(
@@ -357,7 +358,7 @@ def check_shift_equivariance_plain(
     offsets = tuple(n // 4 for n in shape)
     shifted = translate_in_plate(f, offsets)
     for J_diag in (1, 2, 3):
-        bank_j = build_morlet_bank(J_diag, config.L, shape, equalize=config.equalize)
+        bank_j = build_morlet_bank(J_diag, config.L, shape, config.morlet_params, config.equalize)
         t_f = compute_tree(f, bank_j, "plain", depth, "full")
         t_s = compute_tree(shifted, bank_j, "plain", depth, "full")
         diff = sum(

@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 import scatmaxp
-from scatmaxp.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, load_config, main
+from scatmaxp.cli import (
+    EXIT_FAIL,
+    EXIT_INCONCLUSIVE,
+    EXIT_PASS,
+    EXIT_USAGE,
+    _build_parser,
+    apply_flags,
+    load_config,
+    main,
+)
 from scatmaxp.grid import SignalGrid, read_sgrid, unit_plate, write_sgrid
 
 
@@ -40,6 +49,22 @@ class TestConfigFile:
         cfg_file.write_text("warp_speed = 9\n")
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(str(cfg_file))
+
+    @pytest.mark.parametrize("text,argv,expected", [
+        ("strict_pooling = true\n", ["scatter", "img.pgm"], {"strict_pooling": True}),
+        ("strict_pooling = true\n", ["verify"], {"strict_pooling": True}),
+        ("subsample_outputs = true\n", ["scatter", "img.pgm"], {"subsample_outputs": True}),
+        ("equalize = false\n", ["filterbank"], {"equalize": False}),
+        ("equalize = true\n", ["filterbank", "--raw-bank"], {"equalize": False}),
+        ("", ["bench", "--batch", "7", "--modes", "maxp"],
+         {"bench_batch": 7, "bench_modes": "maxp"}),
+    ])
+    def test_config_values_meet_command_line_flags(self, tmp_path, text, argv, expected):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(text)
+        args = _build_parser().parse_args([*argv, "--config", str(cfg_file)])
+        cfg = apply_flags(load_config(args.config), args)
+        assert {name: getattr(cfg, name) for name in expected} == expected
 
 
 class TestFilterbankCommand:
@@ -133,6 +158,16 @@ class TestScatterCommand:
         coef = read_sgrid(out / "sig" / "coef_0000.sgrid")
         assert coef.shape == (32, 32)
 
+    def test_unknown_policy_in_config_fails_before_writing(self, tmp_path, capsys):
+        image = write_test_pgm(tmp_path / "img.pgm")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("policy = frequency_decreasign\n")
+        out = tmp_path / "coeffs"
+        code = main(["scatter", str(image), "--config", str(cfg_file), "--out", str(out)])
+        assert code == EXIT_FAIL
+        assert "unknown path policy" in capsys.readouterr().err
+        assert not (out / "img" / "manifest.json").exists()
+
     def test_unsupported_input_fails(self, tmp_path, capsys):
         bad = tmp_path / "img.jpeg"
         bad.write_bytes(b"\xff\xd8")
@@ -178,6 +213,18 @@ class TestVerifyCommand:
         assert code == EXIT_FAIL
         assert "threshold" in capsys.readouterr().out
 
+    def test_morlet_parameters_reach_the_bank(self, tmp_path):
+        energies = []
+        for sigma0 in ("0.8", "1.6"):
+            cfg_file = tmp_path / f"sigma{sigma0}.cfg"
+            cfg_file.write_text(f"sigma0 = {sigma0}\n")
+            out = tmp_path / f"verify{sigma0}"
+            main(["verify", *self.FAST, "--suites", "energy", "--config", str(cfg_file),
+                  "--out", str(out)])
+            text = (out / "energy.csv").read_text()
+            energies.append([line for line in text.splitlines() if "energies" in line])
+        assert energies[0] and energies[0] != energies[1]
+
     def test_unknown_suite_rejected(self, tmp_path, capsys):
         code = main(["verify", "--suites", "astrology", "--out", str(tmp_path / "x")])
         assert code == EXIT_FAIL
@@ -208,21 +255,6 @@ class TestBenchCommand:
         payload = json.loads((out / "bench.json").read_text())
         assert (payload["results"]["plain"]["propagated_samples_per_signal"]
                 == payload["results"]["maxp"]["propagated_samples_per_signal"])
-
-
-class TestThreading:
-    def test_threaded_batch_matches_serial_bytes(self, tmp_path, monkeypatch):
-        images = [str(write_test_pgm(tmp_path / f"img{i}.pgm", seed=i)) for i in range(3)]
-        out_serial, out_threaded = tmp_path / "serial", tmp_path / "threaded"
-        assert main(["scatter", *images, "-J", "2", "-L", "2", "--depth", "1",
-                     "--out", str(out_serial)]) == EXIT_PASS
-        monkeypatch.setenv("SCATMAXP_THREADS", "3")
-        assert main(["scatter", *images, "-J", "2", "-L", "2", "--depth", "1",
-                     "--out", str(out_threaded)]) == EXIT_PASS
-        for i in range(3):
-            for coef in ("coef_0000.sgrid", "coef_0003.sgrid"):
-                assert ((out_serial / f"img{i}" / coef).read_bytes()
-                        == (out_threaded / f"img{i}" / coef).read_bytes())
 
 
 SRC_DIR = Path(scatmaxp.__file__).resolve().parent.parent

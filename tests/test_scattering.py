@@ -63,6 +63,13 @@ class TestEnumeratePaths:
         with pytest.raises(ValueError):
             enumerate_paths(bank32, 1, "sideways")
 
+    @pytest.mark.parametrize("policy", ["full", "frequency_decreasing"])
+    def test_trees_evaluate_exactly_the_enumerated_paths(self, policy):
+        bank = build_partition_bank(3, 2, (32, 32))
+        tree = compute_tree(random_signal((32, 32), seed=13), bank, "plain", 2, policy)
+        for m in range(3):
+            assert [p for p in tree.nodes if len(p) == m] == enumerate_paths(bank, m, policy)
+
 
 class TestPropagate:
     def test_zero_in_zero_out(self, bank32):
@@ -225,6 +232,11 @@ class TestComputeTree:
             compute_tree(random_signal((16, 16)), bank32, "plain", 1)
         with pytest.raises(ValueError, match="dimensional"):
             bank32.realize((32,))
+
+    @pytest.mark.parametrize("mode,depth", [("plain", 0), ("plain", 1), ("maxp", 2)])
+    def test_unknown_policy_rejected(self, bank32, mode, depth):
+        with pytest.raises(ValueError, match="unknown path policy"):
+            compute_tree(random_signal((32, 32)), bank32, mode, depth, "sideways")
 
     def test_one_dimensional_cascade_end_to_end(self):
         bank = build_morlet_bank(2, 1, (64,))
