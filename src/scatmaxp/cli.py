@@ -21,13 +21,15 @@ import numpy as np
 from .filterbank import MorletParams, build_morlet_bank, build_partition_bank, frame_defect, theorem_constant_B
 from .grid import SignalGrid, read_pgm, read_sgrid, unit_plate, write_sgrid
 from .pooling import AdmissibilityWarning
-from .scattering import PoolConfig, compute_tree, feature_summary, table_reproduction_report
+from .scattering import PATH_POLICIES, PoolConfig, check_policy, compute_tree, feature_summary, table_reproduction_report
 from .verify import VerifyConfig, default_suites
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+OUTPUT_FORMATS = ("sgrid-manifest", "csv")
 
 
 @dataclass
@@ -217,7 +219,7 @@ def _scatter_one(cfg: RunConfig, input_path: str) -> str:
                 "plate": {"origin": list(g.origin), "side_lengths": list(g.side_lengths),
                           "samples": list(g.samples_per_axis)},
             })
-    elif cfg.format == "csv":
+    else:  # csv
         lines = ["path_id,sample_index,re,im"]
         for i, p in enumerate(paths):
             flat = tree.outputs[p].values.ravel()
@@ -227,8 +229,6 @@ def _scatter_one(cfg: RunConfig, input_path: str) -> str:
             path_meta.append({"id": i, "path": [[lam.j, lam.r] for lam in p],
                               "samples": list(tree.outputs[p].plate.samples_per_axis)})
         (out / "coefficients.csv").write_text("\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"unknown output format {cfg.format!r}")
     _write_json(out / "manifest.json", {
         "input": str(input_path),
         "mode": cfg.mode,
@@ -244,6 +244,8 @@ def _scatter_one(cfg: RunConfig, input_path: str) -> str:
 
 
 def cmd_scatter(cfg: RunConfig, inputs: list[str]) -> int:
+    if cfg.format not in OUTPUT_FORMATS:
+        raise ValueError(f"unknown output format {cfg.format!r}")
     messages = [_scatter_one(cfg, p) for p in inputs]
     for message in messages:
         print(message)
@@ -251,6 +253,9 @@ def cmd_scatter(cfg: RunConfig, inputs: list[str]) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    check_policy(cfg.policy)
+    if cfg.policy != "full":
+        raise ValueError(f"verify certifies the full path set only, not policy {cfg.policy!r}")
     vconfig = VerifyConfig(
         seed=cfg.seed, grid=cfg.grid, J=cfg.j, L=cfg.l, bank_kind=cfg.bank_kind,
         equalize=cfg.equalize, morlet_params=MorletParams(cfg.sigma0, cfg.xi0, cfg.slant),
@@ -386,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", metavar="INPUT", help=".pgm or .sgrid files")
     p.add_argument("--mode", choices=["plain", "maxp", "naivep"])
     p.add_argument("--depth", type=int)
-    p.add_argument("--policy", choices=["full", "frequency_decreasing"])
+    p.add_argument("--policy", choices=PATH_POLICIES)
     p.add_argument("--pool-blocks", dest="pool_blocks", type=int,
                    help="samples per pooling sub-plate per axis (default 2)")
     p.add_argument("--pool-factor", dest="pool_factor", type=float,
@@ -394,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-pooling", dest="strict_pooling", action="store_true", default=None)
     p.add_argument("--subsample-outputs", dest="subsample_outputs", action="store_true",
                    default=None)
-    p.add_argument("--format", choices=["sgrid-manifest", "csv"])
+    p.add_argument("--format", choices=OUTPUT_FORMATS)
     p.add_argument("--n-classes", dest="n_classes", type=int)
 
     p = sub.add_parser("verify", help="run the numerical certification suites")
@@ -416,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", dest="bench_batch", metavar="BATCH", type=int,
                    help="synthetic batch size")
     p.add_argument("--depth", type=int)
-    p.add_argument("--policy", choices=["full", "frequency_decreasing"])
+    p.add_argument("--policy", choices=PATH_POLICIES)
     p.add_argument("--n-classes", dest="n_classes", type=int)
     return parser
 

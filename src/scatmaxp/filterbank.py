@@ -42,7 +42,8 @@ class FilterBank:
 
     ``psi_hat`` and ``phi_hat`` are the filters realized on ``grid_shape``;
     :meth:`realize` rebuilds the same bank on other grid shapes (needed when
-    pooled cascades shrink the grid) at matching physical scale.
+    pooled cascades shrink the grid) at matching physical scale.  Every
+    realized filter array is read-only.
     """
 
     J: int
@@ -226,7 +227,7 @@ def _build_morlet_filters(
     phi = _gauss_hat(shape, sigma0 * 2 ** (J - 1), np.zeros(d), 1.0, 0.0)
     if equalize:
         psi = _equalize_wavelets(psi, phi)
-    return psi, phi
+    return _read_only(psi, phi)
 
 
 def _equalize_wavelets(
@@ -274,6 +275,13 @@ def _build_partition_filters(J: int, L: int, shape: tuple[int, ...], spacing_rat
         band = (radius > lower) & (radius <= upper)
         for r in range(L):
             psi[FilterIndex(j, r)] = (band & (sector_of == r)).astype(np.float64)
+    return _read_only(psi, phi)
+
+
+def _read_only(psi: dict[FilterIndex, np.ndarray], phi: np.ndarray):
+    """Freeze the arrays of one realization; cascades multiply into their own buffers."""
+    for arr in (*psi.values(), phi):
+        arr.flags.writeable = False
     return psi, phi
 
 

@@ -21,6 +21,8 @@ Path = tuple[FilterIndex, ...]
 
 EMPTY_PATH: Path = ()
 
+PATH_POLICIES = ("full", "frequency_decreasing")
+
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -52,8 +54,7 @@ def enumerate_paths(bank: FilterBank, m: int, policy: str = "full") -> list[Path
     """
     if m < 0:
         raise ValueError(f"path length must be >= 0, got {m}")
-    if policy not in ("full", "frequency_decreasing"):
-        raise ValueError(f"unknown path policy {policy!r}")
+    check_policy(policy)
     indices = bank.indices
     paths = [EMPTY_PATH]
     for _ in range(m):
@@ -66,13 +67,18 @@ def enumerate_paths(bank: FilterBank, m: int, policy: str = "full") -> list[Path
     return paths
 
 
+def check_policy(policy: str) -> None:
+    """Reject a path policy that is not one of :data:`PATH_POLICIES`."""
+    if policy not in PATH_POLICIES:
+        raise ValueError(f"unknown path policy {policy!r}")
+
+
 def count_paths(J: int, L: int, m: int, policy: str = "full") -> int:
     """Closed-form path count matching :func:`enumerate_paths`."""
+    check_policy(policy)
     if policy == "full":
         return (J * L) ** m
-    if policy == "frequency_decreasing":
-        return comb(J, m) * L ** m
-    raise ValueError(f"unknown path policy {policy!r}")
+    return comb(J, m) * L ** m
 
 
 def propagate_one(
@@ -81,13 +87,22 @@ def propagate_one(
     bank: FilterBank,
     spacing_ratio: float = 1.0,
     method: str = "fft",
+    f_hat: np.ndarray | None = None,
 ) -> SignalGrid:
-    """One wavelet-modulus step |psi_lambda * f| (real values, stored complex)."""
+    """One wavelet-modulus step |psi_lambda * f| (real values, stored complex).
+
+    ``f_hat`` is ``fftn(f.values)`` when the caller already has it; the fft
+    method then filters that spectrum instead of transforming f again.
+    """
     psi, _ = bank.realize(f.shape, spacing_ratio)
     if index not in psi:
         raise ValueError(f"filter index {index} is not in the bank")
-    out = convolve(f, psi[index], method=method)
-    return out.with_values(np.abs(out.values).astype(np.complex128))
+    if method == "fft" and f_hat is not None:
+        work = f_hat * psi[index]
+        values = np.fft.ifftn(work, out=work)
+    else:
+        values = convolve(f, psi[index], method=method).values
+    return f.with_values(np.abs(values))
 
 
 def propagate_pooled(
@@ -97,9 +112,10 @@ def propagate_pooled(
     pool_cfg: PoolConfig,
     spacing_ratio: float = 1.0,
     method: str = "fft",
+    f_hat: np.ndarray | None = None,
 ) -> SignalGrid:
     """Pooled propagator step: max-pooling applied to the wavelet-modulus output."""
-    u = propagate_one(f, index, bank, spacing_ratio, method)
+    u = propagate_one(f, index, bank, spacing_ratio, method, f_hat)
     partition = partition_plate(u.plate, pool_cfg.blocks_for(u.shape))
     return max_pool(u, partition, pool_cfg.factor, pool_cfg.admissibility)
 
@@ -110,8 +126,18 @@ def window(
     spacing_ratio: float = 1.0,
     method: str = "fft",
 ) -> SignalGrid:
-    """Low-pass filtering with phi realized on f's grid at matching physical scale."""
+    """Low-pass filtering with phi realized on f's grid at matching physical scale.
+
+    A real input takes the half spectrum (rfftn/irfftn): phi_hat is real and
+    symmetric under w -> -w, so the product keeps the Hermitian symmetry and
+    the output is real, with an imaginary part of exactly 0.
+    """
     _, phi = bank.realize(f.shape, spacing_ratio)
+    if method == "fft" and not f.values.imag.any():
+        axes = tuple(range(f.plate.dim))
+        spectrum = np.fft.rfftn(f.values.real, axes=axes)
+        spectrum *= phi[..., :spectrum.shape[-1]]
+        return f.with_values(np.fft.irfftn(spectrum, s=f.shape, axes=axes))
     return convolve(f, phi, method=method)
 
 
@@ -173,16 +199,25 @@ def compute_tree(
     # depth 0 is the root alone; enumerating it also rejects an unknown policy
     nodes: dict[Path, SignalGrid] = dict.fromkeys(enumerate_paths(bank, 0, policy), f)
     for depth in range(1, max_depth + 1):
+        parent, f_hat = None, None
         for path in enumerate_paths(bank, depth, policy):
             g = nodes[path[:-1]]
+            # siblings are contiguous, so each parent is transformed once and
+            # only one spectrum is alive at a time
+            if path[:-1] != parent:
+                parent, f_hat = path[:-1], None
+                if conv_method == "fft":
+                    f_hat = np.fft.fftn(g.values)
             ratio = g.plate.spacing[0] / root_spacing
             if mode == "maxp":
                 try:
-                    nodes[path] = propagate_pooled(g, path[-1], bank, pool_cfg, ratio, conv_method)
+                    nodes[path] = propagate_pooled(
+                        g, path[-1], bank, pool_cfg, ratio, conv_method, f_hat
+                    )
                 except ValueError as exc:
                     raise ValueError(f"pooling failed at depth {depth}: {exc}") from exc
             else:
-                nodes[path] = propagate_one(g, path[-1], bank, ratio, conv_method)
+                nodes[path] = propagate_one(g, path[-1], bank, ratio, conv_method, f_hat)
 
     outputs: dict[Path, SignalGrid] = {}
     for path, g in nodes.items():

@@ -134,7 +134,7 @@ class VerifyConfig:
         )
 
     def bank_summary(self) -> dict:
-        return {
+        summary = {
             "bank": self.bank_kind,
             "J": self.J,
             "L": self.L,
@@ -142,6 +142,10 @@ class VerifyConfig:
             "equalized": self.equalize,
             "seed": self.seed,
         }
+        if self.bank_kind == "morlet":
+            params = self.morlet_params.resolve(self.L)
+            summary.update(sigma0=params.sigma0, xi0=params.xi0, slant=params.slant)
+        return summary
 
 
 def random_signal(rng: np.random.Generator, family: str, shape: tuple[int, ...],

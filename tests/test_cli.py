@@ -168,6 +168,17 @@ class TestScatterCommand:
         assert "unknown path policy" in capsys.readouterr().err
         assert not (out / "img" / "manifest.json").exists()
 
+    def test_unknown_format_in_config_fails_before_reading(self, tmp_path, capsys):
+        image = write_test_pgm(tmp_path / "img.pgm")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("format = sgrid\n")
+        out = tmp_path / "coeffs"
+        code = main(["scatter", str(image), "--config", str(cfg_file), "--depth", "1",
+                     "--out", str(out)])
+        assert code == EXIT_FAIL
+        assert "unknown output format 'sgrid'" in capsys.readouterr().err
+        assert not (out / "img").exists()
+
     def test_unsupported_input_fails(self, tmp_path, capsys):
         bad = tmp_path / "img.jpeg"
         bad.write_bytes(b"\xff\xd8")
@@ -221,9 +232,29 @@ class TestVerifyCommand:
             out = tmp_path / f"verify{sigma0}"
             main(["verify", *self.FAST, "--suites", "energy", "--config", str(cfg_file),
                   "--out", str(out)])
-            text = (out / "energy.csv").read_text()
-            energies.append([line for line in text.splitlines() if "energies" in line])
+            lines = (out / "energy.csv").read_text().splitlines()
+            energies.append([line for line in lines if "energies" in line])
+            # the report environment names the bank that made the numbers
+            assert [line for line in lines if line.startswith("# env sigma0=")] == [
+                f"# env sigma0={sigma0}"
+            ]
         assert energies[0] and energies[0] != energies[1]
+
+    def test_non_full_policy_rejected(self, tmp_path, capsys):
+        # the suites certify the full path set; another policy must not be echoed as if run
+        expected = {
+            "sideways": "unknown path policy 'sideways'",
+            "frequency_decreasing": "full path set only, not policy 'frequency_decreasing'",
+        }
+        for policy, message in expected.items():
+            cfg_file = tmp_path / f"{policy}.cfg"
+            cfg_file.write_text(f"policy = {policy}\n")
+            out = tmp_path / policy
+            code = main(["verify", *self.FAST, "--suites", "energy", "--config", str(cfg_file),
+                         "--out", str(out)])
+            assert code == EXIT_FAIL
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_suite_rejected(self, tmp_path, capsys):
         code = main(["verify", "--suites", "astrology", "--out", str(tmp_path / "x")])

@@ -34,6 +34,18 @@ class TestBankConstruction:
             for arr in bank.psi_hat.values():
                 assert abs(arr[0, 0]) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["morlet", "partition"])
+    def test_filters_are_read_only(self, kind):
+        if kind == "partition":
+            bank = build_partition_bank(2, 2, (32, 32))
+        else:
+            bank = build_morlet_bank(2, 2, (32, 32))
+        psi, phi = bank.realize((16, 16), 2.0)
+        for arr in (bank.psi_hat[FilterIndex(1, 0)], bank.phi_hat,
+                    psi[FilterIndex(0, 1)], phi):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     def test_low_pass_has_unit_dc_gain(self):
         bank = build_morlet_bank(2, 2, (32, 32))
         assert bank.phi_hat[0, 0] == pytest.approx(1.0, abs=1e-15)

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from scatmaxp.filterbank import FilterIndex, build_morlet_bank, build_partition_bank
-from scatmaxp.grid import SignalGrid, l2_norm, translate_in_plate, unit_plate
+from scatmaxp.filterbank import (
+    FilterIndex,
+    build_morlet_bank,
+    build_partition_bank,
+    reflect_frequencies,
+)
+from scatmaxp.grid import SignalGrid, convolve, l2_norm, translate_in_plate, unit_plate
 from scatmaxp.pooling import max_pool, partition_plate
 from scatmaxp.scattering import (
     PoolConfig,
@@ -246,6 +251,78 @@ class TestComputeTree:
         assert len(tree.outputs) == 1 + 2 + 4
         energies = [tree.layer_energy(m) for m in range(3)]
         assert energies[0] >= energies[1] >= energies[2]
+
+
+class TestSpectralEngine:
+    """compute_tree transforms each parent once and windows real nodes via rfftn."""
+
+    @pytest.mark.parametrize("policy", ["full", "frequency_decreasing"])
+    @pytest.mark.parametrize("mode", ["plain", "maxp"])
+    def test_nodes_equal_steps_from_the_parent_signal(self, bank32, mode, policy):
+        cfg = PoolConfig(2, 2.0, "off")
+        tree = compute_tree(random_signal((32, 32), seed=14), bank32, mode, 2, policy, cfg)
+        root_spacing = tree.nodes[()].plate.spacing[0]
+        for path, node in tree.nodes.items():
+            if not path:
+                continue
+            parent = tree.nodes[path[:-1]]
+            ratio = parent.plate.spacing[0] / root_spacing
+            if mode == "maxp":
+                expected = propagate_pooled(parent, path[-1], bank32, cfg, ratio)
+            else:
+                expected = propagate_one(parent, path[-1], bank32, ratio)
+            assert node.plate == expected.plate
+            assert np.array_equal(node.values, expected.values)
+
+    def test_one_forward_transform_per_parent(self, bank32, monkeypatch):
+        calls = {"fftn": 0, "ifftn": 0}
+
+        def counting(name):
+            original = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counting(name))
+        tree = compute_tree(random_signal((32, 32), seed=15), bank32, "plain", 2, "full")
+        assert len(tree.nodes) == 21
+        assert calls == {"fftn": 5, "ifftn": 20}  # parents with children; non-root nodes
+
+    @pytest.mark.parametrize("shape,J,L", [((32, 32), 2, 2), ((9, 15), 2, 2), ((64,), 2, 1)])
+    def test_window_of_real_input_matches_the_full_convolution(self, shape, J, L):
+        bank = build_morlet_bank(J, L, (64,) * len(shape))
+        f = random_signal(shape, seed=16)
+        out = window(f, bank)
+        expected = convolve(f, bank.realize(shape)[1])
+        assert np.all(out.values.imag == 0)
+        scale = np.max(np.abs(expected.values))
+        assert np.max(np.abs(out.values - expected.values)) <= 1e-13 * scale
+
+    def test_window_of_complex_input_is_the_full_convolution(self, bank32):
+        rng = np.random.default_rng(17)
+        f = SignalGrid(unit_plate((32, 32)), rng.random((32, 32)) + 1j * rng.random((32, 32)))
+        assert np.array_equal(window(f, bank32).values, convolve(f, bank32.phi_hat).values)
+
+    @pytest.mark.parametrize("kind", ["equalized", "raw", "partition"])
+    def test_phi_is_real_and_symmetric_on_every_realized_grid(self, kind):
+        # the condition under which the half-spectrum window equals the full one
+        if kind == "partition":
+            bank = build_partition_bank(2, 2, (64, 64))
+        else:
+            bank = build_morlet_bank(2, 2, (64, 64), equalize=kind == "equalized")
+        tree = compute_tree(random_signal((64, 64), seed=18), bank, "maxp", 3,
+                            pool_cfg=PoolConfig(2, 2.0, "off"))
+        root_spacing = tree.nodes[()].plate.spacing[0]
+        grids = {(g.shape, g.plate.spacing[0] / root_spacing) for g in tree.nodes.values()}
+        assert len(grids) == 4
+        for shape, ratio in grids:
+            phi = bank.realize(shape, ratio)[1]
+            assert np.isrealobj(phi)
+            assert np.max(np.abs(phi - reflect_frequencies(phi))) <= 1e-15
 
 
 class TestBlockHelpers:
