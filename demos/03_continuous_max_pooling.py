@@ -9,13 +9,13 @@ factor S.  Two properties carry the cascade's theory: the L2 contraction
 import numpy as np
 
 from scatmaxp import (
-    SignalGrid, l2_norm, max_pool, min_admissible_factor, partition_plate,
+    PlatePartition, SignalGrid, l2_norm, max_pool, min_admissible_factor,
     translate_with_plate, unit_plate,
 )
 
 rng = np.random.default_rng(7)
 plate = unit_plate((64, 64), centered=True)
-partition = partition_plate(plate, (32, 32))  # 2x2-sample sub-plates
+partition = PlatePartition(plate, (32, 32))  # 2x2-sample sub-plates
 print("sub-plates:", partition.n_blocks, "of", partition.samples_per_block, "samples")
 
 # Admissibility: S must exceed (|D| ||f||_inf / ||f||_2)^(1/d).  Flat signals
@@ -42,7 +42,7 @@ print("constant-signal ratio (expect 0.5):",
 # the pooled plate by c/S, bit for bit.
 c = (0.25, 0.0)  # a whole number of sub-plates
 moved = translate_with_plate(flat, c)
-lhs = max_pool(moved, partition_plate(moved.plate, (32, 32)), 2.0, "off")
+lhs = max_pool(moved, PlatePartition(moved.plate, (32, 32)), 2.0, "off")
 rhs = translate_with_plate(max_pool(flat, partition, 2.0, "off"), (0.125, 0.0))
 print("\ncommutation bit-exact:",
       lhs.plate == rhs.plate and np.array_equal(lhs.values, rhs.values))

@@ -30,7 +30,6 @@ from .pooling import (
     PlatePartition,
     max_pool,
     min_admissible_factor,
-    partition_plate,
 )
 from .scattering import (
     PoolConfig,

@@ -18,10 +18,10 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .filterbank import MorletParams, build_morlet_bank, build_partition_bank, frame_defect, theorem_constant_B
+from .filterbank import BANK_KINDS, MorletParams, build_morlet_bank, build_partition_bank, frame_defect, theorem_constant_B
 from .grid import SignalGrid, read_pgm, read_sgrid, unit_plate, write_sgrid
 from .pooling import AdmissibilityWarning
-from .scattering import PATH_POLICIES, PoolConfig, check_policy, compute_tree, feature_summary, table_reproduction_report
+from .scattering import MODES, PATH_POLICIES, PoolConfig, compute_tree, feature_summary, table_reproduction_report
 from .verify import VerifyConfig, default_suites
 
 EXIT_PASS = 0
@@ -103,6 +103,14 @@ def _coerce(name: str, kind: str, raw: str):
 
 _FIELD_KINDS = {f.name: f.type for f in fields(RunConfig)}
 
+# keys with a fixed value set: the name used in errors and the argparse choices
+_FIELD_CHOICES = {
+    "bank_kind": ("bank kind", BANK_KINDS),
+    "mode": ("mode", MODES),
+    "policy": ("path policy", PATH_POLICIES),
+    "format": ("output format", OUTPUT_FORMATS),
+}
+
 
 def load_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
@@ -125,6 +133,10 @@ def load_config(path: str | None) -> RunConfig:
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         updates[key] = _coerce(key, _FIELD_KINDS[key], value)
+        if key in _FIELD_CHOICES:
+            label, choices = _FIELD_CHOICES[key]
+            if updates[key] not in choices:
+                raise ValueError(f"{path}:{lineno}: unknown {label} {updates[key]!r}")
     return replace(cfg, **updates)
 
 
@@ -154,9 +166,9 @@ def cmd_filterbank(cfg: RunConfig) -> int:
     files = {}
     for index in bank.indices:
         name = f"psi_j{index.j}_r{index.r}.sgrid"
-        write_sgrid(SignalGrid(plate, bank.psi_hat[index].astype(np.complex128)), out / name)
+        write_sgrid(SignalGrid(plate, bank.psi_hat[index]), out / name)
         files[f"psi_j{index.j}_r{index.r}"] = name
-    write_sgrid(SignalGrid(plate, bank.phi_hat.astype(np.complex128)), out / "phi.sgrid")
+    write_sgrid(SignalGrid(plate, bank.phi_hat), out / "phi.sgrid")
     files["phi"] = "phi.sgrid"
     manifest = {
         "kind": bank.kind,
@@ -244,8 +256,6 @@ def _scatter_one(cfg: RunConfig, input_path: str) -> str:
 
 
 def cmd_scatter(cfg: RunConfig, inputs: list[str]) -> int:
-    if cfg.format not in OUTPUT_FORMATS:
-        raise ValueError(f"unknown output format {cfg.format!r}")
     messages = [_scatter_one(cfg, p) for p in inputs]
     for message in messages:
         print(message)
@@ -253,15 +263,12 @@ def cmd_scatter(cfg: RunConfig, inputs: list[str]) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    check_policy(cfg.policy)
     if cfg.policy != "full":
         raise ValueError(f"verify certifies the full path set only, not policy {cfg.policy!r}")
     vconfig = VerifyConfig(
         seed=cfg.seed, grid=cfg.grid, J=cfg.j, L=cfg.l, bank_kind=cfg.bank_kind,
         equalize=cfg.equalize, morlet_params=MorletParams(cfg.sigma0, cfg.xi0, cfg.slant),
-        block_samples=cfg.pool_blocks, pool_factor=cfg.pool_factor,
-        allowed_factors=(cfg.pool_factor,), max_depth=cfg.verify_depth,
-        strict_pooling=cfg.strict_pooling,
+        pool=cfg.pool_config(), max_depth=cfg.verify_depth,
     )
     trials = {
         "contraction": cfg.trials_contraction,
@@ -376,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("-J", dest="j", type=int, help="scaling level")
             p.add_argument("-L", dest="l", type=int, help="rotation count")
             p.add_argument("--grid", help="grid samples, N or N0xN1")
-            p.add_argument("--bank-kind", dest="bank_kind", choices=["morlet", "partition"])
+            p.add_argument("--bank-kind", dest="bank_kind", choices=BANK_KINDS)
             p.add_argument("--raw-bank", dest="equalize", action="store_false", default=None,
                            help="skip the Littlewood-Paley equalization step")
 
@@ -389,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scatter", help="extract scattering coefficients from images")
     common(p)
     p.add_argument("inputs", nargs="+", metavar="INPUT", help=".pgm or .sgrid files")
-    p.add_argument("--mode", choices=["plain", "maxp", "naivep"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--depth", type=int)
     p.add_argument("--policy", choices=PATH_POLICIES)
     p.add_argument("--pool-blocks", dest="pool_blocks", type=int,

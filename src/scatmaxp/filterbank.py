@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
+
+BANK_KINDS = ("morlet", "partition")
 
 
 class FilterIndex(NamedTuple):
@@ -43,16 +46,16 @@ class FilterBank:
     ``psi_hat`` and ``phi_hat`` are the filters realized on ``grid_shape``;
     :meth:`realize` rebuilds the same bank on other grid shapes (needed when
     pooled cascades shrink the grid) at matching physical scale.  Every
-    realized filter array is read-only.
+    realized filter array, and every psi mapping, is read-only.
     """
 
     J: int
     L: int
     grid_shape: tuple[int, ...]
-    psi_hat: dict[FilterIndex, np.ndarray]
+    psi_hat: Mapping[FilterIndex, np.ndarray]
     phi_hat: np.ndarray
     morlet_params: MorletParams
-    kind: str = "morlet"  # "morlet" or "partition"
+    kind: str = "morlet"  # one of BANK_KINDS
     equalized: bool = True
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -279,10 +282,10 @@ def _build_partition_filters(J: int, L: int, shape: tuple[int, ...], spacing_rat
 
 
 def _read_only(psi: dict[FilterIndex, np.ndarray], phi: np.ndarray):
-    """Freeze the arrays of one realization; cascades multiply into their own buffers."""
+    """Freeze one realization (arrays and psi mapping); cascades multiply into their own buffers."""
     for arr in (*psi.values(), phi):
         arr.flags.writeable = False
-    return psi, phi
+    return MappingProxyType(psi), phi
 
 
 # ---------------------------------------------------------------------------

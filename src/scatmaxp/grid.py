@@ -54,19 +54,6 @@ class Plate:
     def contains_zero(self) -> bool:
         return all(o <= 0.0 <= o + s for o, s in zip(self.origin, self.side_lengths))
 
-    def axis_coordinates(self, axis: int) -> np.ndarray:
-        """Physical coordinates of the cell centers along one axis."""
-        h = self.spacing[axis]
-        return self.origin[axis] + (np.arange(self.samples_per_axis[axis]) + 0.5) * h
-
-    def scaled(self, factor: float) -> "Plate":
-        """The plate D/factor (origin and sides divided; sample counts kept)."""
-        return Plate(
-            tuple(o / factor for o in self.origin),
-            tuple(s / factor for s in self.side_lengths),
-            self.samples_per_axis,
-        )
-
 
 def unit_plate(samples_per_axis: tuple[int, ...] | int, centered: bool = False) -> Plate:
     """Unit-volume plate [0,1]^d (or [-1/2,1/2]^d when centered) with the given grid."""
@@ -189,14 +176,6 @@ def _direct_circular_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndar
     )
     subscripts = {1: "xi,i->x", 2: "xyij,ij->xy"}[d]
     return np.einsum(subscripts, view, kernel)
-
-
-def fourier_frequencies(plate: Plate) -> list[np.ndarray]:
-    """Per-axis physical angular frequencies of the plate's DFT lattice."""
-    return [
-        2.0 * np.pi * np.fft.fftfreq(n) / h
-        for n, h in zip(plate.samples_per_axis, plate.spacing)
-    ]
 
 
 def l2_diff_on_common_torus(a: SignalGrid, b: SignalGrid) -> float:

@@ -59,11 +59,6 @@ class PlatePartition:
         return Plate(origin, sides, self.samples_per_block)
 
 
-def partition_plate(plate: Plate, blocks_per_axis: tuple[int, ...]) -> PlatePartition:
-    """The unique congruent axis-aligned partition with the given block counts."""
-    return PlatePartition(plate, blocks_per_axis)
-
-
 def min_admissible_factor(f: SignalGrid) -> float:
     """Admissibility threshold (|D| * ||f||_inf / ||f||_2)^(1/d); S must exceed it."""
     norm = l2_norm(f)
@@ -129,7 +124,7 @@ def max_pool(
 
     maxima = _block_maxima(np.abs(f.values), partition.blocks_per_axis)
     reps = tuple(n // b for n, b in zip(out_samples, partition.blocks_per_axis))
-    values = np.kron(maxima, np.ones(reps)).astype(np.complex128)
+    values = np.kron(maxima, np.ones(reps))
     out_plate = Plate(
         tuple(o / S for o in f.plate.origin),
         tuple(s / S for s in f.plate.side_lengths),

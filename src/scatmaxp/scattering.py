@@ -15,7 +15,7 @@ import numpy as np
 
 from .filterbank import FilterBank, FilterIndex
 from .grid import Plate, SignalGrid, convolve
-from .pooling import _block_maxima, max_pool, partition_plate
+from .pooling import PlatePartition, _block_maxima, max_pool
 
 Path = tuple[FilterIndex, ...]
 
@@ -23,25 +23,27 @@ EMPTY_PATH: Path = ()
 
 PATH_POLICIES = ("full", "frequency_decreasing")
 
+MODES = ("plain", "maxp", "naivep")
+
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Per-layer pooling set-up for the maxp cascade."""
+    """Per-layer pooling set-up for the maxp cascade and the pooling suites.
 
-    block_samples: tuple[int, ...] | int = 2
+    Sub-plates hold ``block_samples`` samples along every axis; the plate
+    shrinks by ``factor`` (S); ``admissibility`` is the :func:`max_pool` mode.
+    """
+
+    block_samples: int = 2
     factor: float = 2.0
     admissibility: str = "warn"
 
     def blocks_for(self, shape: tuple[int, ...]) -> tuple[int, ...]:
-        bs = self.block_samples
-        if isinstance(bs, int):
-            bs = (bs,) * len(shape)
-        if len(bs) != len(shape):
-            raise ValueError("block_samples dimension does not match the grid")
-        for n, b in zip(shape, bs):
+        b = self.block_samples
+        for n in shape:
             if b < 1 or n % b != 0:
                 raise ValueError(f"{n} samples do not split into blocks of {b}")
-        return tuple(n // b for n, b in zip(shape, bs))
+        return tuple(n // b for n in shape)
 
 
 def enumerate_paths(bank: FilterBank, m: int, policy: str = "full") -> list[Path]:
@@ -116,7 +118,7 @@ def propagate_pooled(
 ) -> SignalGrid:
     """Pooled propagator step: max-pooling applied to the wavelet-modulus output."""
     u = propagate_one(f, index, bank, spacing_ratio, method, f_hat)
-    partition = partition_plate(u.plate, pool_cfg.blocks_for(u.shape))
+    partition = PlatePartition(u.plate, pool_cfg.blocks_for(u.shape))
     return max_pool(u, partition, pool_cfg.factor, pool_cfg.admissibility)
 
 
@@ -146,12 +148,8 @@ class ScatteringTree:
     """All propagated nodes and windowed outputs of one cascade evaluation."""
 
     mode: str
-    bank: FilterBank
     max_depth: int
     policy: str
-    pool_config: PoolConfig | None
-    output_subsample: bool
-    conv_method: str
     nodes: dict[Path, SignalGrid]
     outputs: dict[Path, SignalGrid]
 
@@ -186,7 +184,7 @@ def compute_tree(
     modulus; nodes at depth m live on the plate D/S^m), "naivep" (plain
     cascade, then one truncating 3x3/stride-3 block max on every output).
     """
-    if mode not in ("plain", "maxp", "naivep"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
@@ -228,11 +226,7 @@ def compute_tree(
         if mode == "naivep":
             out = strided_block_max(out, 3)
         outputs[path] = out
-    return ScatteringTree(
-        mode, bank, max_depth, policy,
-        pool_cfg if mode in ("maxp", "naivep") else None,
-        output_subsample, conv_method, nodes, outputs,
-    )
+    return ScatteringTree(mode, max_depth, policy, nodes, outputs)
 
 
 def subsample_signal(f: SignalGrid, factor: int) -> SignalGrid:
@@ -269,7 +263,7 @@ def strided_block_max(f: SignalGrid, block: int) -> SignalGrid:
         tuple(s / block for s in kept),
         n_out,
     )
-    return SignalGrid(plate, maxima.astype(np.complex128))
+    return SignalGrid(plate, maxima)
 
 
 # ---------------------------------------------------------------------------

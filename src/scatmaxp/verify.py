@@ -23,11 +23,12 @@ from .grid import (
     translate_with_plate,
     unit_plate,
 )
-from .pooling import AdmissibilityWarning, max_pool, min_admissible_factor, partition_plate
+from .pooling import AdmissibilityWarning, PlatePartition, max_pool, min_admissible_factor
 from .scattering import PoolConfig, compute_tree
 
 EXACT_RTOL = 1e-12
 DECAY_SLACK = 1.1
+FAMILIES = ("uniform", "spikes")  # the random_signal families the suites alternate
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,6 @@ class VerificationReport:
             f"{self.n_pass} passed, {self.n_fail} failed, {self.n_skip} skipped"
         )
 
-    def to_text(self) -> str:
-        lines = [self.summary_line()]
-        lines += [f"  env {k} = {v}" for k, v in sorted(self.environment.items())]
-        for c in self.cases:
-            lines.append(
-                f"  {c.status:4s} {c.name}: measured {c.measured:.6g} "
-                f"vs bound {c.bound:.6g} ({c.summary})"
-            )
-        lines += [f"  note: {n}" for n in self.notes]
-        return "\n".join(lines)
-
     def to_csv(self) -> str:
         lines = [f"# suite={self.suite}"]
         lines += [f"# env {k}={v}" for k, v in sorted(self.environment.items())]
@@ -111,12 +101,8 @@ class VerifyConfig:
     bank_kind: str = "morlet"  # or "partition"
     equalize: bool = True
     morlet_params: MorletParams = MorletParams()
-    block_samples: int = 2
-    pool_factor: float = 2.0
-    allowed_factors: tuple[float, ...] = (2.0,)
+    pool: PoolConfig = PoolConfig()
     max_depth: int = 3
-    families: tuple[str, ...] = ("uniform", "spikes")
-    strict_pooling: bool = False
     equivariance_grid: tuple[int, ...] = (32, 32)
     equivariance_depth: int = 2
 
@@ -125,13 +111,6 @@ class VerifyConfig:
         if self.bank_kind == "partition":
             return build_partition_bank(self.J, self.L, shape)
         return build_morlet_bank(self.J, self.L, shape, self.morlet_params, self.equalize)
-
-    def pool_config(self) -> PoolConfig:
-        return PoolConfig(
-            self.block_samples,
-            self.pool_factor,
-            "strict" if self.strict_pooling else "warn",
-        )
 
     def bank_summary(self) -> dict:
         summary = {
@@ -171,32 +150,30 @@ def random_signal(rng: np.random.Generator, family: str, shape: tuple[int, ...],
 # ---------------------------------------------------------------------------
 
 def check_contraction(trials: int, config: VerifyConfig = VerifyConfig()) -> VerificationReport:
-    """Pooling never expands the L2 norm for admissible pooling factors."""
+    """Pooling never expands the L2 norm when the pooling factor is admissible."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(config.seed)
+    S = config.pool.factor
     report = VerificationReport(
         "pooling_contraction",
         {
             "grid": config.grid,
-            "block_samples": config.block_samples,
-            "allowed_factors": config.allowed_factors,
+            "block_samples": config.pool.block_samples,
+            "allowed_factors": (S,),  # a 1-tuple so report bytes match earlier runs
             "seed": config.seed,
             "trials": trials,
         },
     )
-    blocks = tuple(n // config.block_samples for n in config.grid)
+    blocks = config.pool.blocks_for(config.grid)
     for t in range(trials):
-        family = config.families[t % len(config.families)]
+        family = FAMILIES[t % len(FAMILIES)]
         f = random_signal(rng, family, config.grid)
         threshold = min_admissible_factor(f)
-        admissible = [s for s in config.allowed_factors if s > threshold]
-        if not admissible:
-            report.skip(f"trial{t:04d}", f"{family}:no-admissible-S", threshold,
-                        max(config.allowed_factors))
+        if S <= threshold:
+            report.skip(f"trial{t:04d}", f"{family}:no-admissible-S", threshold, S)
             continue
-        S = min(admissible)
-        partition = partition_plate(f.plate, blocks)
+        partition = PlatePartition(f.plate, blocks)
         pooled = max_pool(f, partition, S, admissibility="off")
         ratio = l2_norm(pooled) / l2_norm(f)
         report.add(f"trial{t:04d}", f"{family}:S={S}", ratio, 1.0 + EXACT_RTOL,
@@ -212,16 +189,16 @@ def check_commutation(trials: int, config: VerifyConfig = VerifyConfig()) -> Ver
         "pooling_translation_commutation",
         {
             "grid": config.grid,
-            "block_samples": config.block_samples,
-            "S": config.pool_factor,
+            "block_samples": config.pool.block_samples,
+            "S": config.pool.factor,
             "seed": config.seed,
             "trials": trials,
         },
     )
-    S = config.pool_factor
-    blocks = tuple(n // config.block_samples for n in config.grid)
+    S = config.pool.factor
+    blocks = config.pool.blocks_for(config.grid)
     for t in range(trials):
-        family = config.families[t % len(config.families)]
+        family = FAMILIES[t % len(FAMILIES)]
         f = random_signal(rng, family, config.grid)
         widths = [s / b for s, b in zip(f.plate.side_lengths, blocks)]
         if t == 0:
@@ -230,8 +207,8 @@ def check_commutation(trials: int, config: VerifyConfig = VerifyConfig()) -> Ver
             ks = [int(rng.integers(-(b // 2), b // 2 + 1)) for b in blocks]
         c = tuple(k * w for k, w in zip(ks, widths))
         moved = translate_with_plate(f, c)
-        lhs = max_pool(moved, partition_plate(moved.plate, blocks), S, "off")
-        pooled = max_pool(f, partition_plate(f.plate, blocks), S, "off")
+        lhs = max_pool(moved, PlatePartition(moved.plate, blocks), S, "off")
+        pooled = max_pool(f, PlatePartition(f.plate, blocks), S, "off")
         rhs = translate_with_plate(pooled, tuple(x / S for x in c))
         same = lhs.plate == rhs.plate and np.array_equal(lhs.values, rhs.values)
         diff = 0.0 if same else float(np.max(np.abs(lhs.values - rhs.values)))
@@ -245,13 +222,13 @@ def check_energy_monotonic(f: SignalGrid, config: VerifyConfig = VerifyConfig())
     eps = frame_defect(bank)
     report = VerificationReport(
         "layer_energy_monotonicity",
-        dict(config.bank_summary(), eps_lp=eps, max_depth=config.max_depth, S=config.pool_factor),
+        dict(config.bank_summary(), eps_lp=eps, max_depth=config.max_depth, S=config.pool.factor),
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AdmissibilityWarning)
         tree = compute_tree(
             f, bank, mode="maxp", max_depth=config.max_depth, policy="full",
-            pool_cfg=config.pool_config(),
+            pool_cfg=config.pool,
         )
     flagged = sum(issubclass(w.category, AdmissibilityWarning) for w in caught)
     energies = [tree.layer_energy(m) for m in range(config.max_depth + 1)]
@@ -273,7 +250,7 @@ def check_invariance_decay(
 ) -> VerificationReport:
     """Output differences under plate translation decay like |c|^2 B^2 / S^(2m)."""
     spacing = f.plate.spacing[0]
-    S = config.pool_factor
+    S = config.pool.factor
     for x in c:
         shift = x / spacing
         for m in range(config.max_depth + 1):
@@ -282,7 +259,7 @@ def check_invariance_decay(
                     f"shift component {x} lands between grid cells at depth {m}; "
                     f"use a whole multiple of S^max_depth sample spacings"
                 )
-            if m < config.max_depth and round(shift) % config.block_samples != 0:
+            if m < config.max_depth and round(shift) % config.pool.block_samples != 0:
                 raise ValueError(
                     f"shift component {x} is not sub-plate-aligned at depth {m}"
                 )
@@ -299,7 +276,7 @@ def check_invariance_decay(
     )
     shifted = translate_with_plate(f, c)
     kwargs = dict(mode="maxp", max_depth=config.max_depth, policy="full",
-                  pool_cfg=config.pool_config())
+                  pool_cfg=config.pool)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdmissibilityWarning)
         tree_f = compute_tree(f, bank, **kwargs)
@@ -340,7 +317,7 @@ def check_shift_equivariance_plain(
     )
     axes = tuple(range(len(shape)))
     for t in range(trials):
-        family = config.families[t % len(config.families)]
+        family = FAMILIES[t % len(FAMILIES)]
         f = random_signal(rng, family, shape)
         offsets = tuple(int(rng.integers(0, n)) for n in shape) if t else (0,) * len(shape)
         tree_f = compute_tree(f, bank, "plain", depth, "full", conv_method="direct")
@@ -374,20 +351,18 @@ def check_shift_equivariance_plain(
     return report
 
 
-def default_suites(config: VerifyConfig, trials: dict[str, int] | None = None):
-    """The standard suite set with desk-scale trial counts; returns name -> callable."""
-    trials = dict(trials or {})
-    contraction_n = trials.get("contraction", 1000)
-    commutation_n = trials.get("commutation", 200)
-    equivariance_n = trials.get("equivariance", 50)
-    energy_n = trials.get("energy", 10)
-    decay_n = trials.get("decay", 5)
+def default_suites(config: VerifyConfig, trials: dict[str, int]):
+    """The standard suite set; returns name -> callable.
+
+    A suite reads its trial (or input) count ``trials[name]`` when it runs, so
+    ``trials`` needs an entry only for the suites that are called.
+    """
 
     def run_energy():
         rng = np.random.default_rng(config.seed + 4)
         merged = None
-        for i in range(energy_n):
-            f = random_signal(rng, config.families[i % len(config.families)], config.grid)
+        for i in range(trials["energy"]):
+            f = random_signal(rng, FAMILIES[i % len(FAMILIES)], config.grid)
             rep = check_energy_monotonic(f, config)
             merged = _merge(merged, rep, i)
         return merged
@@ -398,21 +373,21 @@ def default_suites(config: VerifyConfig, trials: dict[str, int] | None = None):
         # inputs measurably break it at m = 0 -> 1
         rng = np.random.default_rng(config.seed + 5)
         plate = unit_plate(config.grid, centered=True)
-        step = plate.spacing[0] * config.pool_factor ** config.max_depth
+        step = plate.spacing[0] * config.pool.factor ** config.max_depth
         c = (step,) + (0.0,) * (plate.dim - 1)
         merged = None
-        for i in range(decay_n):
+        for i in range(trials["decay"]):
             f = random_signal(rng, "uniform", config.grid)
             rep = check_invariance_decay(f, c, config)
             merged = _merge(merged, rep, i)
         return merged
 
     return {
-        "contraction": lambda: check_contraction(contraction_n, config),
-        "commutation": lambda: check_commutation(commutation_n, config),
+        "contraction": lambda: check_contraction(trials["contraction"], config),
+        "commutation": lambda: check_commutation(trials["commutation"], config),
         "energy": run_energy,
         "decay": run_decay,
-        "equivariance": lambda: check_shift_equivariance_plain(equivariance_n, config),
+        "equivariance": lambda: check_shift_equivariance_plain(trials["equivariance"], config),
     }
 
 

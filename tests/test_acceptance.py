@@ -14,7 +14,7 @@ import pytest
 
 from scatmaxp.filterbank import build_morlet_bank, build_partition_bank, frame_defect
 from scatmaxp.grid import SignalGrid, convolve, unit_plate
-from scatmaxp.pooling import max_pool, partition_plate
+from scatmaxp.pooling import PlatePartition, max_pool
 from scatmaxp.scattering import (
     compute_tree,
     count_paths,
@@ -24,6 +24,7 @@ from scatmaxp.scattering import (
     PoolConfig,
 )
 from scatmaxp.verify import (
+    FAMILIES,
     VerifyConfig,
     check_commutation,
     check_contraction,
@@ -91,7 +92,7 @@ def test_criterion_4_layer_energy_monotonicity():
         rng = np.random.default_rng(CONFIG.seed + 4)
         worst_ratio = 0.0
         for i in range(10):
-            f = random_signal(rng, CONFIG.families[i % 2], CONFIG.grid)
+            f = random_signal(rng, FAMILIES[i % 2], CONFIG.grid)
             report = check_energy_monotonic(f, CONFIG)
             assert report.verdict == "pass", report.summary_line()
             steps = [c for c in report.cases if c.name.startswith("step_")]
@@ -102,7 +103,7 @@ def test_criterion_4_layer_energy_monotonicity():
         fixture_config = VerifyConfig(bank_kind="partition")
         rng = np.random.default_rng(CONFIG.seed + 4)
         for i in range(10):
-            f = random_signal(rng, CONFIG.families[i % 2], CONFIG.grid)
+            f = random_signal(rng, FAMILIES[i % 2], CONFIG.grid)
             report = check_energy_monotonic(f, fixture_config)
             assert report.environment["eps_lp"] == 0.0
             steps = [c for c in report.cases if c.name.startswith("step_")]
@@ -123,7 +124,7 @@ def test_criterion_5_invariance_decay_with_golden():
             golden[(int(i), int(m))] = float(d)
         rng = np.random.default_rng(CONFIG.seed + 5)
         plate = unit_plate(CONFIG.grid, centered=True)
-        step = plate.spacing[0] * CONFIG.pool_factor ** CONFIG.max_depth
+        step = plate.spacing[0] * CONFIG.pool.factor ** CONFIG.max_depth
         c = (step, 0.0)
         for i in range(5):
             f = random_signal(rng, "uniform", CONFIG.grid)
@@ -161,7 +162,7 @@ def test_criterion_7_oracle_equivalence():
         assert worst <= 1e-10
 
         pool_plate = unit_plate((16, 16))
-        part = partition_plate(pool_plate, (8, 8))
+        part = PlatePartition(pool_plate, (8, 8))
         for case in range(100):
             family = "uniform" if case % 2 == 0 else "spikes"
             f = random_signal(rng, family, (16, 16), centered=False)

@@ -58,6 +58,10 @@ class TestConfigFile:
         ("equalize = true\n", ["filterbank", "--raw-bank"], {"equalize": False}),
         ("", ["bench", "--batch", "7", "--modes", "maxp"],
          {"bench_batch": 7, "bench_modes": "maxp"}),
+        ("bank_kind = partition\nmode = naivep\npolicy = frequency_decreasing\nformat = csv\n",
+         ["scatter", "img.pgm"],
+         {"bank_kind": "partition", "mode": "naivep", "policy": "frequency_decreasing",
+          "format": "csv"}),
     ])
     def test_config_values_meet_command_line_flags(self, tmp_path, text, argv, expected):
         cfg_file = tmp_path / "run.cfg"
@@ -65,6 +69,30 @@ class TestConfigFile:
         args = _build_parser().parse_args([*argv, "--config", str(cfg_file)])
         cfg = apply_flags(load_config(args.config), args)
         assert {name: getattr(cfg, name) for name in expected} == expected
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("bank_kind", "gabor", "unknown bank kind 'gabor'"),
+        ("mode", "maxpool", "unknown mode 'maxpool'"),
+        ("policy", "sideways", "unknown path policy 'sideways'"),
+        ("format", "sgrid", "unknown output format 'sgrid'"),
+    ])
+    def test_fixed_value_keys_are_checked(self, tmp_path, key, value, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=message):
+            load_config(str(cfg_file))
+
+    def test_unknown_bank_kind_fails_every_bank_command(self, tmp_path, capsys):
+        # an unknown kind must not run a Morlet bank and echo the unknown name
+        image = write_test_pgm(tmp_path / "img.pgm")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("bank_kind = gabor\n")
+        for argv in (["filterbank"], ["scatter", str(image)], ["verify", "--suites", "energy"]):
+            out = tmp_path / argv[0]
+            code = main([*argv, "--config", str(cfg_file), "--out", str(out)])
+            assert code == EXIT_FAIL, argv
+            assert "unknown bank kind 'gabor'" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestFilterbankCommand:
@@ -223,6 +251,27 @@ class TestVerifyCommand:
                      "--energy-inputs", "2", "--strict-pooling", "--out", str(out)])
         assert code == EXIT_FAIL
         assert "threshold" in capsys.readouterr().out
+
+    def test_pooling_keys_in_config_reach_the_suites(self, tmp_path, capsys):
+        cfg_file = tmp_path / "pool.cfg"
+        argv = ["verify", *self.FAST, "--energy-inputs", "2",
+                "--suites", "contraction,commutation,energy", "--config", str(cfg_file)]
+        cfg_file.write_text("pool_blocks = 4\npool_factor = 4.0\n")
+        assert main([*argv, "--out", str(tmp_path / "warn")]) == EXIT_PASS
+        for name, env in (("contraction", "# env allowed_factors=(4.0,)"),
+                          ("commutation", "# env S=4.0"),
+                          ("energy", "# env S=4.0")):
+            lines = (tmp_path / "warn" / f"{name}.csv").read_text().splitlines()
+            assert env in lines, name
+            if name != "energy":
+                assert "# env block_samples=4" in lines, name
+        capsys.readouterr()
+        # at S=2 the spike input of the energy suite is inadmissible
+        cfg_file.write_text("pool_blocks = 4\npool_factor = 2.0\nstrict_pooling = true\n")
+        assert main([*argv, "--out", str(tmp_path / "strict")]) == EXIT_FAIL
+        text = capsys.readouterr().out
+        assert "[FAIL        ] energy: precondition violated: pooling failed" in text
+        assert "threshold" in text
 
     def test_morlet_parameters_reach_the_bank(self, tmp_path):
         energies = []

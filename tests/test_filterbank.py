@@ -45,6 +45,9 @@ class TestBankConstruction:
                     psi[FilterIndex(0, 1)], phi):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+        for mapping in (bank.psi_hat, psi):
+            with pytest.raises(TypeError):
+                mapping[FilterIndex(0, 0)] = np.zeros((16, 16))
 
     def test_low_pass_has_unit_dc_gain(self):
         bank = build_morlet_bank(2, 2, (32, 32))

@@ -7,7 +7,6 @@ from scatmaxp.grid import (
     Plate,
     SignalGrid,
     convolve,
-    fourier_frequencies,
     l2_diff_on_common_torus,
     l2_norm,
     linf_norm,
@@ -224,11 +223,6 @@ class TestParsevalConsistency:
             f = SignalGrid(unit_plate(shape), rng.random(shape) + 1j * rng.random(shape))
             spectral = f.plate.cell_volume * np.sum(np.abs(np.fft.fftn(f.values)) ** 2) / f.values.size
             assert l2_norm(f) ** 2 == pytest.approx(spectral, rel=1e-10)
-
-    def test_frequencies_match_plate_units(self):
-        plate = Plate((0.0,), (2.0,), (8,))
-        (w,) = fourier_frequencies(plate)
-        assert w[1] == pytest.approx(2 * np.pi / 2.0)
 
 
 class TestCommonTorusDifference:

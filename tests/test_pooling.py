@@ -9,9 +9,9 @@ from scatmaxp.grid import Plate, SignalGrid, l2_norm, translate_with_plate, unit
 from scatmaxp.pooling import (
     AdmissibilityError,
     AdmissibilityWarning,
+    PlatePartition,
     max_pool,
     min_admissible_factor,
-    partition_plate,
 )
 
 
@@ -51,23 +51,23 @@ def nested_loop_block_max(values, blocks_per_axis, out_samples):
 
 class TestPartition:
     def test_uniform_split(self):
-        part = partition_plate(unit_plate((4, 4)), (2, 2))
+        part = PlatePartition(unit_plate((4, 4)), (2, 2))
         assert part.n_blocks == 4
         assert part.samples_per_block == (2, 2)
         assert part.block_side_lengths == (0.5, 0.5)
 
     def test_identity_partition(self):
         plate = unit_plate((6, 6))
-        part = partition_plate(plate, (1, 1))
+        part = PlatePartition(plate, (1, 1))
         assert part.n_blocks == 1
         assert part.sub_plate((0, 0)) == plate
 
     def test_indivisible_split_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
-            partition_plate(unit_plate((6,)), (4,))
+            PlatePartition(unit_plate((6,)), (4,))
 
     def test_sub_plates_are_translates_tiling_the_parent(self):
-        part = partition_plate(Plate((-1.0, 0.0), (2.0, 1.0), (8, 4)), (4, 2))
+        part = PlatePartition(Plate((-1.0, 0.0), (2.0, 1.0), (8, 4)), (4, 2))
         first = part.sub_plate((0, 0))
         for i0 in range(4):
             for i1 in range(2):
@@ -107,13 +107,13 @@ class TestMaxPool:
     def test_block_pattern_example(self):
         values = np.kron(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones((2, 2)))
         f = SignalGrid(unit_plate((4, 4)), values)
-        pooled = max_pool(f, partition_plate(f.plate, (2, 2)), 2.0, "off")
+        pooled = max_pool(f, PlatePartition(f.plate, (2, 2)), 2.0, "off")
         assert np.array_equal(pooled.values.real, [[1.0, 2.0], [3.0, 4.0]])
         assert pooled.plate == Plate((0.0, 0.0), (0.5, 0.5), (2, 2))
 
     def test_constant_pools_to_constant_on_half_plate(self):
         f = SignalGrid(unit_plate((8, 8)), np.full((8, 8), 0.75))
-        pooled = max_pool(f, partition_plate(f.plate, (4, 4)), 2.0, "off")
+        pooled = max_pool(f, PlatePartition(f.plate, (4, 4)), 2.0, "off")
         assert np.all(pooled.values == 0.75)
         assert pooled.plate.side_lengths == (0.5, 0.5)
 
@@ -124,7 +124,7 @@ class TestMaxPool:
         for _ in range(20):
             for shape, blocks, S in cases:
                 f = SignalGrid(unit_plate(shape), rng.random(shape))
-                pooled = max_pool(f, partition_plate(f.plate, blocks), S, "off")
+                pooled = max_pool(f, PlatePartition(f.plate, blocks), S, "off")
                 oracle = nested_loop_block_max(f.values, blocks, pooled.shape)
                 assert np.array_equal(pooled.values.real, oracle)
                 assert np.all(pooled.values.imag == 0)
@@ -132,7 +132,7 @@ class TestMaxPool:
     def test_output_is_piecewise_constant_per_sub_plate(self):
         rng = np.random.default_rng(2)
         f = SignalGrid(unit_plate((16,)), rng.random(16))
-        pooled = max_pool(f, partition_plate(f.plate, (4,)), 2.0, "off")
+        pooled = max_pool(f, PlatePartition(f.plate, (4,)), 2.0, "off")
         assert pooled.shape == (8,)
         reshaped = pooled.values.reshape(4, 2)
         assert np.all(reshaped[:, :1] == reshaped)
@@ -142,7 +142,7 @@ class TestMaxPool:
         f = rng.random((8, 8))
         g = f + rng.random((8, 8))
         plate = unit_plate((8, 8))
-        part = partition_plate(plate, (4, 4))
+        part = PlatePartition(plate, (4, 4))
         pf = max_pool(SignalGrid(plate, f), part, 2.0, "off")
         pg = max_pool(SignalGrid(plate, g), part, 2.0, "off")
         assert np.all(pf.values.real <= pg.values.real)
@@ -151,7 +151,7 @@ class TestMaxPool:
         # one output sample per 2x2-sample block: max^2 <= sum of squares per block
         rng = np.random.default_rng(4)
         plate = unit_plate((16, 16))
-        part = partition_plate(plate, (8, 8))
+        part = PlatePartition(plate, (8, 8))
         for _ in range(500):
             f = SignalGrid(plate, rng.random((16, 16)))
             pooled = max_pool(f, part, 2.0, "off")
@@ -164,8 +164,8 @@ class TestMaxPool:
         blocks = (2, 2)
         c = (0.5, 0.0)
         moved = translate_with_plate(f, c)
-        lhs = max_pool(moved, partition_plate(moved.plate, blocks), 2.0, "off")
-        pooled = max_pool(f, partition_plate(f.plate, blocks), 2.0, "off")
+        lhs = max_pool(moved, PlatePartition(moved.plate, blocks), 2.0, "off")
+        pooled = max_pool(f, PlatePartition(f.plate, blocks), 2.0, "off")
         rhs = translate_with_plate(pooled, (0.25, 0.0))
         assert lhs.plate == rhs.plate
         assert np.array_equal(lhs.values, rhs.values)
@@ -174,7 +174,7 @@ class TestMaxPool:
         values = np.zeros((8, 8))
         values[0, 0] = 1.0  # spike: threshold (1 * 1 / (1/8))^(1/2) = sqrt(8) > 2
         f = SignalGrid(unit_plate((8, 8)), values)
-        part = partition_plate(f.plate, (4, 4))
+        part = PlatePartition(f.plate, (4, 4))
         with pytest.raises(AdmissibilityError, match="threshold"):
             max_pool(f, part, 2.0, "strict")
         with warnings.catch_warnings(record=True) as caught:
@@ -187,18 +187,18 @@ class TestMaxPool:
 
     def test_zero_signal_pools_without_admissibility_check(self):
         f = SignalGrid(unit_plate((8, 8)), np.zeros((8, 8)))
-        pooled = max_pool(f, partition_plate(f.plate, (4, 4)), 2.0, "strict")
+        pooled = max_pool(f, PlatePartition(f.plate, (4, 4)), 2.0, "strict")
         assert np.all(pooled.values == 0)
 
     def test_geometry_validation(self):
         f = SignalGrid(unit_plate((8, 8)), np.ones((8, 8)))
-        other = partition_plate(unit_plate((8, 8), centered=True), (4, 4))
+        other = PlatePartition(unit_plate((8, 8), centered=True), (4, 4))
         with pytest.raises(ValueError, match="different plate"):
             max_pool(f, other, 2.0, "off")
-        part = partition_plate(f.plate, (4, 4))
+        part = PlatePartition(f.plate, (4, 4))
         with pytest.raises(ValueError, match=">= 1"):
             max_pool(f, part, 0.5, "off")
         with pytest.raises(ValueError, match="evenly"):
             max_pool(f, part, 3.0, "off")
         with pytest.raises(ValueError, match="whole cells"):
-            max_pool(f, partition_plate(f.plate, (8, 8)), 4.0, "off")
+            max_pool(f, PlatePartition(f.plate, (8, 8)), 4.0, "off")

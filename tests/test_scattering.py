@@ -10,7 +10,7 @@ from scatmaxp.filterbank import (
     reflect_frequencies,
 )
 from scatmaxp.grid import SignalGrid, convolve, l2_norm, translate_in_plate, unit_plate
-from scatmaxp.pooling import max_pool, partition_plate
+from scatmaxp.pooling import PlatePartition, max_pool
 from scatmaxp.scattering import (
     PoolConfig,
     compute_tree,
@@ -120,7 +120,7 @@ class TestPropagate:
         f = random_signal((32, 32), seed=2)
         cfg = PoolConfig(2, 2.0, "off")
         u = propagate_one(f, FilterIndex(0, 1), bank32)
-        expected = max_pool(u, partition_plate(u.plate, (16, 16)), 2.0, "off")
+        expected = max_pool(u, PlatePartition(u.plate, (16, 16)), 2.0, "off")
         got = propagate_pooled(f, FilterIndex(0, 1), bank32, cfg)
         assert got.plate == expected.plate
         assert np.array_equal(got.values, expected.values)

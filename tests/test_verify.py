@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from scatmaxp.grid import SignalGrid, l2_norm, unit_plate
-from scatmaxp.pooling import max_pool, partition_plate
+from scatmaxp.pooling import PlatePartition, max_pool
+from scatmaxp.scattering import PoolConfig
 from scatmaxp.verify import (
     VerificationReport,
     VerifyConfig,
@@ -70,7 +71,7 @@ class TestContraction:
     def test_constant_signal_ratio_is_S_to_minus_d_over_2(self):
         # ||P(c)||_2 / ||c||_2 = S^(-d/2): plate volume shrinks by S^d, values equal
         f = SignalGrid(unit_plate((16, 16)), np.full((16, 16), 0.6))
-        pooled = max_pool(f, partition_plate(f.plate, (8, 8)), 2.0, "off")
+        pooled = max_pool(f, PlatePartition(f.plate, (8, 8)), 2.0, "off")
         assert l2_norm(pooled) / l2_norm(f) == pytest.approx(0.5, rel=1e-12)
 
     def test_spike_signal_still_contracts_under_standard_pooling(self):
@@ -81,14 +82,14 @@ class TestContraction:
         values[2, 4] = 0.4
         values[3, 5] = 0.8  # same 2x2-sample block as the spike above
         f = SignalGrid(unit_plate((16, 16)), values)
-        pooled = max_pool(f, partition_plate(f.plate, (8, 8)), 2.0, "off")
+        pooled = max_pool(f, PlatePartition(f.plate, (8, 8)), 2.0, "off")
         assert l2_norm(pooled) < l2_norm(f)
         lone = SignalGrid(unit_plate((16, 16)), np.eye(16) * 0.5)
-        lone_pooled = max_pool(lone, partition_plate(lone.plate, (8, 8)), 2.0, "off")
+        lone_pooled = max_pool(lone, PlatePartition(lone.plate, (8, 8)), 2.0, "off")
         assert l2_norm(lone_pooled) <= l2_norm(lone) * (1 + 1e-12)
 
     def test_inadmissible_draws_are_skipped_not_failed(self):
-        config = VerifyConfig(grid=(32, 32), allowed_factors=(1.01,))
+        config = VerifyConfig(grid=(32, 32), pool=PoolConfig(2, 1.01))
         report = check_contraction(40, config)
         assert report.verdict == "inconclusive"
         assert report.n_skip == 40 and report.n_fail == 0
