@@ -21,7 +21,7 @@ import numpy as np
 from .filterbank import BANK_KINDS, MorletParams, build_morlet_bank, build_partition_bank, frame_defect, theorem_constant_B
 from .grid import SignalGrid, read_pgm, read_sgrid, unit_plate, write_sgrid
 from .pooling import AdmissibilityWarning
-from .scattering import MODES, PATH_POLICIES, PoolConfig, compute_tree, feature_summary, table_reproduction_report
+from .scattering import MODES, PATH_POLICIES, PoolConfig, check_mode, compute_tree, feature_summary, table_reproduction_report
 from .verify import VerifyConfig, default_suites
 
 EXIT_PASS = 0
@@ -256,6 +256,7 @@ def _scatter_one(cfg: RunConfig, input_path: str) -> str:
 
 
 def cmd_scatter(cfg: RunConfig, inputs: list[str]) -> int:
+    check_mode(cfg.mode, cfg.subsample_outputs)
     messages = [_scatter_one(cfg, p) for p in inputs]
     for message in messages:
         print(message)
@@ -413,6 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suites", help="comma list: contraction,commutation,energy,decay,equivariance")
     p.add_argument("--depth", dest="verify_depth", type=int)
+    p.add_argument("--pool-blocks", dest="pool_blocks", type=int)
     p.add_argument("--pool-factor", dest="pool_factor", type=float)
     p.add_argument("--strict-pooling", dest="strict_pooling", action="store_true", default=None)
     p.add_argument("--trials-contraction", dest="trials_contraction", type=int)

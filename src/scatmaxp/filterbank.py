@@ -1,12 +1,14 @@
 """Frequency-domain Morlet wavelet banks and their frame diagnostics.
 
-Wavelets are built directly on the discrete frequency lattice of a grid shape
-(periodized over aliases), following the usual image-scattering set-up:
-dilations sigma_j = sigma0 * 2^j, center frequencies xi_j = xi0 / 2^j, and L
-rotations covering half the circle.  By default the wavelet part of the bank
-is equalized so that the Littlewood-Paley sum matches 1 - |phi_hat|^2 exactly
-on the lattice; the raw un-equalized bank is available via ``equalize=False``
-and its (large) frame defect is still measurable with :func:`frame_defect`.
+Wavelets are sampled on the discrete frequency lattice of a grid shape and
+periodized exactly: by Poisson summation each Gaussian is the DFT of its
+spatial counterpart summed over the grid period.  The set-up is the usual
+image-scattering one: dilations sigma_j = sigma0 * 2^j, center frequencies
+xi_j = xi0 / 2^j, and L rotations covering half the circle.  By default the
+wavelet part of the bank is equalized so that the Littlewood-Paley sum matches
+1 - |phi_hat|^2 exactly on the lattice; the raw un-equalized bank is available
+via ``equalize=False`` and its (large) frame defect is still measurable with
+:func:`frame_defect`.
 """
 from __future__ import annotations
 
@@ -67,12 +69,12 @@ class FilterBank:
     def indices(self) -> list[FilterIndex]:
         return sorted(self.psi_hat)
 
-    def realize(self, shape: tuple[int, ...], spacing_ratio: float = 1.0):
+    def realize(self, shape: tuple[int, ...]):
         """Filters rebuilt on ``shape`` at the same physical scale.
 
-        ``spacing_ratio`` is the sample spacing of the target grid divided by
-        the spacing the bank was built for (1 for standard strided pooling,
-        where the spacing never changes).
+        Pooling keeps the sample spacing (n samples on side s become n/S
+        samples on side s/S), so the same per-sample parameters apply on
+        every grid and the shape alone identifies a realization.
         """
         shape = tuple(int(n) for n in shape)
         if len(shape) != self.dim:
@@ -80,16 +82,14 @@ class FilterBank:
                 f"no filters available for a {len(shape)}-dimensional grid "
                 f"(bank is {self.dim}-dimensional)"
             )
-        key = (shape, float(spacing_ratio))
-        if key not in self._cache:
+        if shape not in self._cache:
             if self.kind == "morlet":
-                psi, phi = _build_morlet_filters(
-                    self.J, self.L, shape, self.morlet_params, self.equalized, spacing_ratio
+                self._cache[shape] = _build_morlet_filters(
+                    self.J, self.L, shape, self.morlet_params, self.equalized
                 )
             else:
-                psi, phi = _build_partition_filters(self.J, self.L, shape, spacing_ratio)
-            self._cache[key] = (psi, phi)
-        return self._cache[key]
+                self._cache[shape] = _build_partition_filters(self.J, self.L, shape)
+        return self._cache[shape]
 
 
 def build_morlet_bank(
@@ -103,9 +103,9 @@ def build_morlet_bank(
     grid_shape = tuple(int(n) for n in grid_shape)
     _validate_bank_args(J, L, grid_shape)
     params = (params or MorletParams()).resolve(L)
-    psi, phi = _build_morlet_filters(J, L, grid_shape, params, equalize, 1.0)
+    psi, phi = _build_morlet_filters(J, L, grid_shape, params, equalize)
     bank = FilterBank(J, L, grid_shape, psi, phi, params, "morlet", equalize)
-    bank._cache[(grid_shape, 1.0)] = (psi, phi)
+    bank._cache[grid_shape] = (psi, phi)
     return bank
 
 
@@ -118,10 +118,10 @@ def build_partition_bank(J: int, L: int, grid_shape: tuple[int, ...]) -> FilterB
     """
     grid_shape = tuple(int(n) for n in grid_shape)
     _validate_bank_args(J, L, grid_shape)
-    psi, phi = _build_partition_filters(J, L, grid_shape, 1.0)
+    psi, phi = _build_partition_filters(J, L, grid_shape)
     params = MorletParams().resolve(L)
     bank = FilterBank(J, L, grid_shape, psi, phi, params, "partition", False)
-    bank._cache[(grid_shape, 1.0)] = (psi, phi)
+    bank._cache[grid_shape] = (psi, phi)
     return bank
 
 
@@ -147,62 +147,62 @@ def _pixel_frequencies(shape: tuple[int, ...]) -> list[np.ndarray]:
     return [2.0 * np.pi * np.fft.fftfreq(n) for n in shape]
 
 
-def _alias_reach(sigma: float, slant: float, center_radius: float) -> int:
-    # farthest alias copy whose tail still exceeds ~1e-16 inside [-pi, pi)^d;
-    # capped at 4 periods, so sigmas below ~0.4 (spacing_ratio > 2) keep ~1e-5
-    # tails -- standard strided pooling never shrinks sigma below sigma0
-    widest = max(1.0, slant) / sigma
-    reach = 8.6 * widest + math.pi + center_radius
-    return max(1, min(4, math.ceil(reach / (2.0 * math.pi))))
+def _gauss_envelope(
+    d: int, sigma: float, slant: float, theta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spatial Gaussian whose transform is exp(-sigma^2/2 (v_r^2 + v_t^2/slant^2)).
 
-
-def _gauss_hat(
-    shape: tuple[int, ...],
-    sigma: float,
-    center: np.ndarray,
-    slant: float,
-    theta: float,
-) -> np.ndarray:
-    """Periodized frequency response of an oriented Gaussian envelope.
-
-    In the frame rotated by theta the response is
-    exp(-sigma^2/2 * (v_r^2 + v_t^2 / slant^2)) centered at ``center``.
+    By Poisson summation the frequency Gaussian periodized over aliases,
+    sampled on a DFT lattice, is the DFT of this Gaussian periodized over the
+    grid.  Its width is sigma along theta and sigma/slant across it; it is
+    evaluated on the box |x| <= R per axis, R at 8.6 widths of the widest
+    direction, where the tail falls below 1e-16.  Returns the envelope and the
+    coordinate x_r along theta.
     """
-    d = len(shape)
-    freqs = _pixel_frequencies(shape)
-    out = np.zeros(shape)
-    n_alias = _alias_reach(sigma, slant, float(np.linalg.norm(center)))
-    alias_axes = [range(-n_alias, n_alias + 1)] * d
+    widest = sigma * max(1.0, 1.0 / slant) if d == 2 else sigma
+    reach = math.ceil(8.6 * widest)
+    x = np.arange(-reach, reach + 1, dtype=np.float64)
     if d == 1:
-        (w0,) = freqs
-        for a0 in alias_axes[0]:
-            v = w0 + 2.0 * np.pi * a0 - center[0]
-            out += np.exp(-0.5 * sigma ** 2 * v ** 2)
-        return out
-    w0, w1 = np.meshgrid(*freqs, indexing="ij")
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    for a0 in alias_axes[0]:
-        for a1 in alias_axes[1]:
-            v0 = w0 + 2.0 * np.pi * a0 - center[0]
-            v1 = w1 + 2.0 * np.pi * a1 - center[1]
-            vr = v0 * cos_t + v1 * sin_t
-            vt = -v0 * sin_t + v1 * cos_t
-            out += np.exp(-0.5 * sigma ** 2 * (vr ** 2 + (vt / slant) ** 2))
-    return out
+        xr, quad = x, x ** 2
+        norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+    else:
+        x0, x1 = np.meshgrid(x, x, indexing="ij")
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        xr = x0 * cos_t + x1 * sin_t
+        xt = -x0 * sin_t + x1 * cos_t
+        quad = xr ** 2 + (slant * xt) ** 2
+        norm = slant / (2.0 * math.pi * sigma ** 2)
+    return norm * np.exp(-quad / (2.0 * sigma ** 2)), xr
+
+
+def _gauss_hat(shape: tuple[int, ...], spatial: np.ndarray) -> np.ndarray:
+    """DFT of a centered spatial box summed into ``shape``'s bins by index mod n."""
+    for axis, n in enumerate(shape):
+        m = spatial.shape[axis]
+        # front padding puts x = -(m // 2) at an index congruent to it mod n
+        front = -(m // 2) % n
+        rows = -(-(front + m) // n)
+        widths = [(0, 0)] * spatial.ndim
+        widths[axis] = (front, rows * n - front - m)
+        padded = np.pad(spatial, widths)
+        folded_shape = padded.shape[:axis] + (rows, n) + padded.shape[axis + 1:]
+        spatial = padded.reshape(folded_shape).sum(axis)
+    # a copy, so a kept filter does not hold the complex transform behind a view
+    return np.fft.fftn(spatial).real.copy()
 
 
 def _morlet_hat(
     shape: tuple[int, ...], sigma: float, xi: float, theta: float, slant: float
 ) -> np.ndarray:
-    """Zero-mean Morlet: shifted Gaussian minus the correction that kills the DC bin."""
-    d = len(shape)
-    if d == 1:
-        center = np.array([xi])
-    else:
-        center = xi * np.array([math.cos(theta), math.sin(theta)])
-    g_shift = _gauss_hat(shape, sigma, center, slant, theta)
-    g_zero = _gauss_hat(shape, sigma, np.zeros(d), slant, theta)
-    origin = (0,) * d
+    """Zero-mean Morlet: shifted Gaussian minus the correction that kills the DC bin.
+
+    The shifted Gaussian is the envelope modulated by exp(i xi x_r); both
+    terms come from the same spatial envelope.
+    """
+    envelope, xr = _gauss_envelope(len(shape), sigma, slant, theta)
+    g_shift = _gauss_hat(shape, envelope * np.exp(1j * xi * xr))
+    g_zero = _gauss_hat(shape, envelope)
+    origin = (0,) * len(shape)
     kappa = g_shift[origin] / g_zero[origin]
     return g_shift - kappa * g_zero
 
@@ -213,21 +213,16 @@ def _build_morlet_filters(
     shape: tuple[int, ...],
     params: MorletParams,
     equalize: bool,
-    spacing_ratio: float,
 ):
-    # matching physical scale on a grid whose spacing changed by spacing_ratio
-    sigma0 = params.sigma0 / spacing_ratio
-    xi0 = params.xi0 * spacing_ratio
-    slant = params.slant
     psi: dict[FilterIndex, np.ndarray] = {}
     for j in range(J):
         for r in range(L):
             theta = math.pi * r / L
             psi[FilterIndex(j, r)] = _morlet_hat(
-                shape, sigma0 * 2 ** j, xi0 / 2 ** j, theta, slant
+                shape, params.sigma0 * 2 ** j, params.xi0 / 2 ** j, theta, params.slant
             )
-    d = len(shape)
-    phi = _gauss_hat(shape, sigma0 * 2 ** (J - 1), np.zeros(d), 1.0, 0.0)
+    envelope, _ = _gauss_envelope(len(shape), params.sigma0 * 2 ** (J - 1), 1.0, 0.0)
+    phi = _gauss_hat(shape, envelope)
     if equalize:
         psi = _equalize_wavelets(psi, phi)
     return _read_only(psi, phi)
@@ -254,12 +249,11 @@ def _equalize_wavelets(
 # Exact-partition fixture
 # ---------------------------------------------------------------------------
 
-def _build_partition_filters(J: int, L: int, shape: tuple[int, ...], spacing_ratio: float):
+def _build_partition_filters(J: int, L: int, shape: tuple[int, ...]):
     d = len(shape)
     freqs = _pixel_frequencies(shape)
     grids = np.meshgrid(*freqs, indexing="ij") if d == 2 else [freqs[0]]
     radius = np.sqrt(sum(g ** 2 for g in grids))
-    scale = math.pi * spacing_ratio
 
     # angular sectors identify theta with theta + pi, so each mask is symmetric
     # under w -> -w and unit amplitudes make the symmetrized sum exactly 1
@@ -270,11 +264,11 @@ def _build_partition_filters(J: int, L: int, shape: tuple[int, ...], spacing_rat
     else:
         sector_of = np.zeros(shape, dtype=int)
 
-    phi = (radius <= scale / 2 ** J).astype(np.float64)
+    phi = (radius <= math.pi / 2 ** J).astype(np.float64)
     psi: dict[FilterIndex, np.ndarray] = {}
     for j in range(J):
-        upper = np.inf if j == 0 else scale / 2 ** j
-        lower = scale / 2 ** (j + 1)
+        upper = np.inf if j == 0 else math.pi / 2 ** j
+        lower = math.pi / 2 ** (j + 1)
         band = (radius > lower) & (radius <= upper)
         for r in range(L):
             psi[FilterIndex(j, r)] = (band & (sector_of == r)).astype(np.float64)

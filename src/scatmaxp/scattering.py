@@ -75,6 +75,14 @@ def check_policy(policy: str) -> None:
         raise ValueError(f"unknown path policy {policy!r}")
 
 
+def check_mode(mode: str, output_subsample: bool) -> None:
+    """Reject an unknown mode, and output subsampling for maxp, which has none."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "maxp" and output_subsample:
+        raise ValueError("output subsampling is not implemented for mode 'maxp'")
+
+
 def count_paths(J: int, L: int, m: int, policy: str = "full") -> int:
     """Closed-form path count matching :func:`enumerate_paths`."""
     check_policy(policy)
@@ -87,7 +95,6 @@ def propagate_one(
     f: SignalGrid,
     index: FilterIndex,
     bank: FilterBank,
-    spacing_ratio: float = 1.0,
     method: str = "fft",
     f_hat: np.ndarray | None = None,
 ) -> SignalGrid:
@@ -96,7 +103,7 @@ def propagate_one(
     ``f_hat`` is ``fftn(f.values)`` when the caller already has it; the fft
     method then filters that spectrum instead of transforming f again.
     """
-    psi, _ = bank.realize(f.shape, spacing_ratio)
+    psi, _ = bank.realize(f.shape)
     if index not in psi:
         raise ValueError(f"filter index {index} is not in the bank")
     if method == "fft" and f_hat is not None:
@@ -112,29 +119,23 @@ def propagate_pooled(
     index: FilterIndex,
     bank: FilterBank,
     pool_cfg: PoolConfig,
-    spacing_ratio: float = 1.0,
     method: str = "fft",
     f_hat: np.ndarray | None = None,
 ) -> SignalGrid:
     """Pooled propagator step: max-pooling applied to the wavelet-modulus output."""
-    u = propagate_one(f, index, bank, spacing_ratio, method, f_hat)
+    u = propagate_one(f, index, bank, method, f_hat)
     partition = PlatePartition(u.plate, pool_cfg.blocks_for(u.shape))
     return max_pool(u, partition, pool_cfg.factor, pool_cfg.admissibility)
 
 
-def window(
-    f: SignalGrid,
-    bank: FilterBank,
-    spacing_ratio: float = 1.0,
-    method: str = "fft",
-) -> SignalGrid:
+def window(f: SignalGrid, bank: FilterBank, method: str = "fft") -> SignalGrid:
     """Low-pass filtering with phi realized on f's grid at matching physical scale.
 
     A real input takes the half spectrum (rfftn/irfftn): phi_hat is real and
     symmetric under w -> -w, so the product keeps the Hermitian symmetry and
     the output is real, with an imaginary part of exactly 0.
     """
-    _, phi = bank.realize(f.shape, spacing_ratio)
+    _, phi = bank.realize(f.shape)
     if method == "fft" and not f.values.imag.any():
         axes = tuple(range(f.plate.dim))
         spectrum = np.fft.rfftn(f.values.real, axes=axes)
@@ -183,9 +184,9 @@ def compute_tree(
     Modes: "plain" (wavelet-modulus only), "maxp" (pooling after every
     modulus; nodes at depth m live on the plate D/S^m), "naivep" (plain
     cascade, then one truncating 3x3/stride-3 block max on every output).
+    ``output_subsample`` keeps every 2^J-th output sample (plain, naivep).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    check_mode(mode, output_subsample)
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if f.shape != bank.grid_shape:
@@ -193,7 +194,6 @@ def compute_tree(
     if mode == "maxp" and pool_cfg is None:
         pool_cfg = PoolConfig()
 
-    root_spacing = f.plate.spacing[0]
     # depth 0 is the root alone; enumerating it also rejects an unknown policy
     nodes: dict[Path, SignalGrid] = dict.fromkeys(enumerate_paths(bank, 0, policy), f)
     for depth in range(1, max_depth + 1):
@@ -206,22 +206,20 @@ def compute_tree(
                 parent, f_hat = path[:-1], None
                 if conv_method == "fft":
                     f_hat = np.fft.fftn(g.values)
-            ratio = g.plate.spacing[0] / root_spacing
             if mode == "maxp":
                 try:
                     nodes[path] = propagate_pooled(
-                        g, path[-1], bank, pool_cfg, ratio, conv_method, f_hat
+                        g, path[-1], bank, pool_cfg, conv_method, f_hat
                     )
                 except ValueError as exc:
                     raise ValueError(f"pooling failed at depth {depth}: {exc}") from exc
             else:
-                nodes[path] = propagate_one(g, path[-1], bank, ratio, conv_method, f_hat)
+                nodes[path] = propagate_one(g, path[-1], bank, conv_method, f_hat)
 
     outputs: dict[Path, SignalGrid] = {}
     for path, g in nodes.items():
-        ratio = g.plate.spacing[0] / root_spacing
-        out = window(g, bank, ratio, conv_method)
-        if output_subsample and mode in ("plain", "naivep"):
+        out = window(g, bank, conv_method)
+        if output_subsample:
             out = subsample_signal(out, 2 ** bank.J)
         if mode == "naivep":
             out = strided_block_max(out, 3)

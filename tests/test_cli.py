@@ -207,6 +207,15 @@ class TestScatterCommand:
         assert "unknown output format 'sgrid'" in capsys.readouterr().err
         assert not (out / "img").exists()
 
+    def test_maxp_output_subsampling_fails_before_reading(self, tmp_path, capsys):
+        # the input does not exist: reading it would fail with another message
+        out = tmp_path / "coeffs"
+        code = main(["scatter", str(tmp_path / "missing.pgm"), "--mode", "maxp",
+                     "--subsample-outputs", "--out", str(out)])
+        assert code == EXIT_FAIL
+        assert "output subsampling is not implemented for mode 'maxp'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unsupported_input_fails(self, tmp_path, capsys):
         bad = tmp_path / "img.jpeg"
         bad.write_bytes(b"\xff\xd8")
@@ -272,6 +281,14 @@ class TestVerifyCommand:
         text = capsys.readouterr().out
         assert "[FAIL        ] energy: precondition violated: pooling failed" in text
         assert "threshold" in text
+
+    def test_pool_blocks_flag_reaches_the_suites(self, tmp_path):
+        out = tmp_path / "verify"
+        assert main(["verify", *self.FAST, "--suites", "contraction,commutation",
+                     "--pool-blocks", "4", "--pool-factor", "4", "--out", str(out)]) == EXIT_PASS
+        for name in ("contraction", "commutation"):
+            assert "# env block_samples=4" in (out / f"{name}.csv").read_text().splitlines()
+        assert "# config pool_blocks=4" in (out / "summary.txt").read_text().splitlines()
 
     def test_morlet_parameters_reach_the_bank(self, tmp_path):
         energies = []

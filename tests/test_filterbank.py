@@ -1,5 +1,6 @@
 """Morlet bank construction, the exact-partition fixture, and frame diagnostics."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scatmaxp.filterbank import (
     FilterIndex,
@@ -17,6 +20,8 @@ from scatmaxp.filterbank import (
     littlewood_paley_sum,
     reflect_frequencies,
     theorem_constant_B,
+    _gauss_envelope,
+    _gauss_hat,
 )
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "frame_defect.json").read_text())
@@ -40,7 +45,7 @@ class TestBankConstruction:
             bank = build_partition_bank(2, 2, (32, 32))
         else:
             bank = build_morlet_bank(2, 2, (32, 32))
-        psi, phi = bank.realize((16, 16), 2.0)
+        psi, phi = bank.realize((16, 16))
         for arr in (bank.psi_hat[FilterIndex(1, 0)], bank.phi_hat,
                     psi[FilterIndex(0, 1)], phi):
             with pytest.raises(ValueError, match="read-only"):
@@ -90,6 +95,98 @@ class TestBankConstruction:
         # cache returns the same arrays
         psi2, _ = bank.realize((32, 32))
         assert psi2[FilterIndex(0, 0)] is psi[FilterIndex(0, 0)]
+
+
+def alias_sum_gaussian(shape, sigma, center, slant, theta):
+    """Reference: the frequency Gaussian summed over every alias copy that reaches 1e-16.
+
+    exp(-sigma^2/2 (v_r^2 + v_t^2/slant^2)) in the frame rotated by theta (in 1-D
+    exp(-sigma^2/2 v^2)), centered at ``center`` and shifted by every 2 pi alias
+    whose tail can still exceed ~1e-16 on [-pi, pi)^d, plus one more period.
+    """
+    d = len(shape)
+    grids = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(n) for n in shape], indexing="ij")
+    widest = (max(1.0, slant) if d == 2 else 1.0) / sigma
+    reach = 8.6 * widest + math.pi + float(np.linalg.norm(center))
+    n_alias = math.ceil(reach / (2.0 * math.pi)) + 1
+    out = np.zeros(shape)
+    for alias in itertools.product(range(-n_alias, n_alias + 1), repeat=d):
+        v = [w + 2.0 * np.pi * a - c for w, a, c in zip(grids, alias, center)]
+        if d == 1:
+            quad = v[0] ** 2
+        else:
+            vr = v[0] * math.cos(theta) + v[1] * math.sin(theta)
+            vt = -v[0] * math.sin(theta) + v[1] * math.cos(theta)
+            quad = vr ** 2 + (vt / slant) ** 2
+        out += np.exp(-0.5 * sigma ** 2 * quad)
+    return out
+
+
+def alias_sum_morlet(shape, sigma, xi, theta, slant):
+    """Reference Morlet from reference Gaussians; also returns the size of its terms."""
+    if len(shape) == 1:
+        center = (xi,)
+    else:
+        center = (xi * math.cos(theta), xi * math.sin(theta))
+    g_shift = alias_sum_gaussian(shape, sigma, center, slant, theta)
+    g_zero = alias_sum_gaussian(shape, sigma, (0.0,) * len(shape), slant, theta)
+    origin = (0,) * len(shape)
+    return g_shift - g_shift[origin] / g_zero[origin] * g_zero, np.max(g_zero)
+
+
+def assert_close_to_max(got, expected, rtol=1e-13):
+    # the DFT of the folded box errs by rounding times the Gaussian's peak (1);
+    # a narrow Gaussian whose peak falls between lattice points samples only
+    # its tails there, so its lattice maximum can be far below 1
+    assert np.max(np.abs(got - expected)) <= rtol * max(1.0, np.max(np.abs(expected)))
+
+
+class TestPoissonSummation:
+    """Gaussians built from a folded spatial box equal the brute-force alias sum."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(8, 96)),
+            st.tuples(st.integers(8, 48), st.integers(8, 48)),
+        ),
+        sigma=st.floats(0.1, 8.0),
+        slant=st.floats(0.25, 2.0),
+        theta=st.floats(0.0, math.pi),
+        xi=st.floats(0.0, math.pi),
+    )
+    # the spatial box spans many periods (2R+1 = 277 > 8) / fits inside one (11 <= 40)
+    @example(shape=(8, 8), sigma=8.0, slant=0.5, theta=0.3, xi=0.4)
+    @example(shape=(48, 40), sigma=0.5, slant=1.0, theta=0.0, xi=3.0 * math.pi / 4.0)
+    @example(shape=(9, 15), sigma=1.6, slant=0.5, theta=2.0, xi=1.2)
+    @example(shape=(64,), sigma=0.1, slant=4.0, theta=0.0, xi=math.pi)
+    @example(shape=(64, 64), sigma=0.15, slant=2.0, theta=math.pi / 2, xi=3.0 * math.pi / 4.0)
+    def test_matches_the_alias_sum(self, shape, sigma, slant, theta, xi):
+        d = len(shape)
+        envelope, xr = _gauss_envelope(d, sigma, slant, theta)
+        center = (xi,) if d == 1 else (xi * math.cos(theta), xi * math.sin(theta))
+        assert_close_to_max(
+            _gauss_hat(shape, envelope * np.exp(1j * xi * xr)),
+            alias_sum_gaussian(shape, sigma, center, slant, theta),
+        )
+        assert_close_to_max(
+            _gauss_hat(shape, envelope), alias_sum_gaussian(shape, sigma, (0.0,) * d, slant, theta)
+        )
+
+    def test_narrow_sigma0_bank_matches_the_alias_sum(self):
+        # sigma0 = 0.15 has aliases ~19 periods out; those beyond four periods
+        # still carry 1.3e-4 of the Gaussian terms
+        J, L, shape = 2, 2, (64, 64)
+        params = MorletParams(sigma0=0.15).resolve(L)
+        bank = build_morlet_bank(J, L, shape, params, equalize=False)
+        for index in bank.indices:
+            expected, terms = alias_sum_morlet(shape, params.sigma0 * 2 ** index.j,
+                                               params.xi0 / 2 ** index.j,
+                                               math.pi * index.r / L, params.slant)
+            # at j = 0 psi (~2e-8) is a near-cancelling difference of terms ~14
+            assert np.max(np.abs(bank.psi_hat[index] - expected)) <= 1e-13 * terms
+        sigma_phi = params.sigma0 * 2 ** (J - 1)
+        assert_close_to_max(bank.phi_hat, alias_sum_gaussian(shape, sigma_phi, (0.0, 0.0), 1.0, 0.0))
 
 
 class TestFrameDefect:

@@ -230,6 +230,20 @@ class TestComputeTree:
         full = compute_tree(f, bank64, "plain", 1)
         assert np.array_equal(tree.outputs[()].values, full.outputs[()].values[::4, ::4])
 
+    def test_maxp_rejects_output_subsampling(self, bank32):
+        with pytest.raises(ValueError, match="not implemented for mode 'maxp'"):
+            compute_tree(random_signal((32, 32)), bank32, "maxp", 1, output_subsample=True)
+
+    def test_one_realization_per_node_shape(self):
+        # pooling keeps the sample spacing, so the node shape alone names a realization
+        bank = build_morlet_bank(2, 2, (36, 36))
+        shapes = set()
+        for cfg in (PoolConfig(2, 2.0, "off"), PoolConfig(3, 1.5, "off")):
+            tree = compute_tree(random_signal((36, 36), seed=13), bank, "maxp", 2, pool_cfg=cfg)
+            shapes |= {g.shape for g in tree.nodes.values()}
+        assert shapes == {(36, 36), (18, 18), (9, 9), (24, 24), (16, 16)}
+        assert set(bank._cache) == shapes
+
     def test_mode_validation(self, bank32):
         with pytest.raises(ValueError):
             compute_tree(random_signal((32, 32)), bank32, "turbo", 1)
@@ -261,16 +275,14 @@ class TestSpectralEngine:
     def test_nodes_equal_steps_from_the_parent_signal(self, bank32, mode, policy):
         cfg = PoolConfig(2, 2.0, "off")
         tree = compute_tree(random_signal((32, 32), seed=14), bank32, mode, 2, policy, cfg)
-        root_spacing = tree.nodes[()].plate.spacing[0]
         for path, node in tree.nodes.items():
             if not path:
                 continue
             parent = tree.nodes[path[:-1]]
-            ratio = parent.plate.spacing[0] / root_spacing
             if mode == "maxp":
-                expected = propagate_pooled(parent, path[-1], bank32, cfg, ratio)
+                expected = propagate_pooled(parent, path[-1], bank32, cfg)
             else:
-                expected = propagate_one(parent, path[-1], bank32, ratio)
+                expected = propagate_one(parent, path[-1], bank32)
             assert node.plate == expected.plate
             assert np.array_equal(node.values, expected.values)
 
@@ -316,11 +328,10 @@ class TestSpectralEngine:
             bank = build_morlet_bank(2, 2, (64, 64), equalize=kind == "equalized")
         tree = compute_tree(random_signal((64, 64), seed=18), bank, "maxp", 3,
                             pool_cfg=PoolConfig(2, 2.0, "off"))
-        root_spacing = tree.nodes[()].plate.spacing[0]
-        grids = {(g.shape, g.plate.spacing[0] / root_spacing) for g in tree.nodes.values()}
+        grids = {g.shape for g in tree.nodes.values()}
         assert len(grids) == 4
-        for shape, ratio in grids:
-            phi = bank.realize(shape, ratio)[1]
+        for shape in grids:
+            phi = bank.realize(shape)[1]
             assert np.isrealobj(phi)
             assert np.max(np.abs(phi - reflect_frequencies(phi))) <= 1e-15
 

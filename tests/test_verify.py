@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scatmaxp.filterbank import littlewood_paley_sum
 from scatmaxp.grid import SignalGrid, l2_norm, unit_plate
 from scatmaxp.pooling import PlatePartition, max_pool
 from scatmaxp.scattering import PoolConfig
@@ -131,6 +132,37 @@ class TestEnergyMonotonicity:
         report = check_energy_monotonic(f, SMALL)
         assert report.verdict == "pass"
         assert all(c.measured == 0.0 for c in report.cases)
+
+
+@pytest.mark.parametrize("suite", ["energy", "decay"])
+@pytest.mark.parametrize("weak_grid", [False, True])
+def test_eps_lp_is_the_worst_defect_over_the_realized_grids(suite, weak_grid, monkeypatch):
+    config = VerifyConfig(equalize=False)  # raw J=2, L=2 on 64x64, depth 3: four grids
+    shapes = [(64, 64), (32, 32), (16, 16), (8, 8)]
+    banks = []
+    make_bank = VerifyConfig.make_bank
+
+    def recording(self, shape=None):
+        bank = make_bank(self, shape)
+        if weak_grid:
+            # a shrunken grid whose defect exceeds the root's: phi_hat(0) = 0.5
+            psi, phi = bank.realize((16, 16))
+            bank._cache[(16, 16)] = (psi, 0.5 * phi)
+        banks.append(bank)
+        return bank
+
+    monkeypatch.setattr(VerifyConfig, "make_bank", recording)
+    f = random_signal(np.random.default_rng(9), "uniform", config.grid)
+    if suite == "energy":
+        report = check_energy_monotonic(f, config)
+    else:
+        report = check_invariance_decay(f, (8 / 64, 0.0), config)
+    (bank,) = banks
+    defects = [float(np.max(np.abs(1.0 - littlewood_paley_sum(psi.values(), phi))))
+               for psi, phi in map(bank.realize, shapes)]
+    assert report.environment["eps_lp"] == max(defects)
+    if weak_grid:
+        assert max(defects) == defects[2] > defects[0]
 
 
 class TestInvarianceDecay:
