@@ -9,7 +9,7 @@ import numpy as np
 
 from scatmaxp import (
     PoolConfig, SignalGrid, build_morlet_bank, compute_tree, count_paths,
-    enumerate_paths, feature_summary, table_reproduction_report, unit_plate,
+    enumerate_paths, feature_summary, unit_plate,
 )
 
 rng = np.random.default_rng(3)
@@ -46,14 +46,18 @@ plain_samples = trees["plain"].total_node_samples()
 maxp_samples = trees["maxp"].total_node_samples()
 print(f"\npropagated samples: plain {plain_samples}, maxp {maxp_samples}")
 
-# Parameter counts of the reference 224x224 classification models, searched
-# over candidate configurations (the experiments leave J unstated).
-print("\nreference parameter-count search:")
-for row in table_reproduction_report():
-    if row["matches_target"]:
-        print(f"  exact match: {row['mode']:7s} ({row['variant']}, J={row['J']}, "
-              f"{row['policy']}) -> {row['parameters']:,}")
-best_maxp = min((r for r in table_reproduction_report() if r["mode"] == "maxp"),
-                key=lambda r: abs(r["parameters"] - r["target"]))
-print(f"  maxp target {best_maxp['target']:,} unmatched; nearest candidate "
-      f"{best_maxp['parameters']:,} (J={best_maxp['J']})")
+# Parameter counts of the reference 224x224 classification models (J=3, L=8,
+# depth 2, frequency-decreasing paths, dense head 512-512-256-256 -> 102),
+# counted from the trees the cascades build: plain and naivep outputs are
+# subsampled by 2^J, maxp has no output subsampling. The README's "Paper
+# parameter counts" note says which operators the differing counts would need.
+print("\nreference 224x224 models, dense-head parameters:")
+paper = {"plain": 87_592_038, "maxp": 9_944_166, "naivep": 11_596_902}
+big = SignalGrid(unit_plate((224, 224), centered=True), rng.random((224, 224)))
+big_bank = build_morlet_bank(3, 8, (224, 224))
+for mode, reported in paper.items():
+    tree = compute_tree(big, big_bank, mode=mode, max_depth=2, policy="frequency_decreasing",
+                        pool_cfg=PoolConfig(2, 2.0, "off"), output_subsample=mode != "maxp")
+    counted = feature_summary(tree, n_classes=102)["dense_head_parameters"]
+    verdict = "match" if counted == reported else "differs"
+    print(f"  {mode:7s} counted {counted:>11,}  reported {reported:>11,}  {verdict}")

@@ -43,7 +43,6 @@ from .scattering import (
     propagate_pooled,
     strided_block_max,
     subsample_signal,
-    table_reproduction_report,
     window,
 )
 from .verify import (

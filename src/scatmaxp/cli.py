@@ -21,7 +21,7 @@ import numpy as np
 from .filterbank import BANK_KINDS, MorletParams, build_morlet_bank, build_partition_bank, frame_defect, theorem_constant_B
 from .grid import SignalGrid, read_pgm, read_sgrid, unit_plate, write_sgrid
 from .pooling import AdmissibilityWarning
-from .scattering import MODES, PATH_POLICIES, PoolConfig, check_mode, compute_tree, feature_summary, table_reproduction_report
+from .scattering import MODES, PATH_POLICIES, PoolConfig, check_mode, compute_tree, feature_summary
 from .verify import VerifyConfig, default_suites
 
 EXIT_PASS = 0
@@ -309,17 +309,19 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
+    modes = [m.strip() for m in cfg.bench_modes.split(",") if m.strip()]
+    for mode in modes:
+        check_mode(mode, cfg.subsample_outputs)
     rng = np.random.default_rng(cfg.seed)
     plate = unit_plate(cfg.grid, centered=True)
     batch = [SignalGrid(plate, rng.random(cfg.grid)) for _ in range(cfg.bench_batch)]
     bank = cfg.make_bank(cfg.grid)
-    modes = [m.strip() for m in cfg.bench_modes.split(",") if m.strip()]
     results = {}
     for mode in modes:
         start = time.perf_counter()
         trees = [
             compute_tree(f, bank, mode=mode, max_depth=cfg.depth, policy=cfg.policy,
-                         pool_cfg=cfg.pool_config())
+                         pool_cfg=cfg.pool_config(), output_subsample=cfg.subsample_outputs)
             for f in batch
         ]
         elapsed = time.perf_counter() - start
@@ -328,16 +330,19 @@ def cmd_bench(cfg: RunConfig) -> int:
             m: sum(int(np.prod(tree.nodes[p].shape)) for p in tree.paths_at(m))
             for m in range(cfg.depth + 1)
         }
+        summary = feature_summary(tree, n_classes=cfg.n_classes)
         results[mode] = {
             "signals_per_second": len(batch) / elapsed if elapsed > 0 else float("inf"),
             "seconds_total": elapsed,
             "propagated_samples_per_signal": tree.total_node_samples(),
             "per_layer_samples": per_layer,
-            "output_coefficients": tree.total_output_coefficients(),
+            "feature_summary": summary,
         }
         print(
             f"{mode:7s} {results[mode]['signals_per_second']:8.2f} signals/s, "
-            f"{results[mode]['propagated_samples_per_signal']} propagated samples/signal"
+            f"{results[mode]['propagated_samples_per_signal']} propagated samples/signal, "
+            f"{summary['total_features']} features, "
+            f"{summary['dense_head_parameters']:,} dense-head parameters"
         )
     status = EXIT_PASS
     if "plain" in results and "maxp" in results:
@@ -347,21 +352,9 @@ def cmd_bench(cfg: RunConfig) -> int:
         print(f"maxp propagates {maxp_n} < plain {plain_n}: {'ok' if ok else 'VIOLATED'}")
         if not ok:
             status = EXIT_FAIL
-    table = table_reproduction_report(n_classes=cfg.n_classes)
-    matches = [row for row in table if row["matches_target"]]
-    print(f"dense-head parameter search: {len(matches)} exact match(es) of reported counts")
-    for row in matches:
-        print(
-            f"  {row['mode']} ({row['variant']}, J={row['J']}, {row['policy']}): "
-            f"{row['parameters']:,} parameters"
-        )
     out = FsPath(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "bench.json", {
-        "results": results,
-        "parameter_search": table,
-        "config": cfg.effective(),
-    })
+    _write_json(out / "bench.json", {"results": results, "config": cfg.effective()})
     return status
 
 

@@ -226,6 +226,8 @@ def read_sgrid(path) -> SignalGrid:
         try:
             d = int(header[1])
             fields = header[2:]
+            if len(fields) != 3 * d:
+                raise ValueError(f"{len(fields)} fields for dimension {d}")
             origin = tuple(float(x) for x in fields[:d])
             sides = tuple(float(x) for x in fields[d:2 * d])
             samples = tuple(int(x) for x in fields[2 * d:3 * d])
@@ -236,8 +238,9 @@ def read_sgrid(path) -> SignalGrid:
         buf = np.frombuffer(fh.read(8 * count), dtype="<f8")
         if buf.size != count:
             raise ValueError(f"{path}: truncated SGRID payload")
-    values = (buf[0::2] + 1j * buf[1::2]).reshape(samples)
-    return SignalGrid(plate, values)
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after SGRID payload")
+    return SignalGrid(plate, buf.view("<c16").reshape(samples))
 
 
 def read_pgm(path) -> SignalGrid:

@@ -162,9 +162,6 @@ class ScatteringTree:
 
         return sum(l2_norm(self.nodes[p]) ** 2 for p in self.paths_at(depth))
 
-    def total_output_coefficients(self) -> int:
-        return sum(prod(g.shape) for g in self.outputs.values())
-
     def total_node_samples(self) -> int:
         return sum(prod(g.shape) for g in self.nodes.values())
 
@@ -307,55 +304,3 @@ def feature_summary(
         "dense_head_parameters": dense_head_parameters(total, tuple(fc_widths), n_classes),
     }
 
-
-def table_reproduction_report(
-    targets: dict[str, int] | None = None,
-    input_size: int = 224,
-    n_classes: int = 102,
-    fc_widths: tuple[int, ...] = (512, 512, 256, 256),
-    max_depth: int = 2,
-) -> list[dict]:
-    """Parameter counts for candidate front-end configurations vs. reported targets.
-
-    The reference experiments leave J and the path policy unstated, so this
-    enumerates plausible configurations (J, policy, output handling) for each
-    front-end variant and reports which, if any, reproduce the published
-    parameter counts exactly.
-    """
-    if targets is None:
-        targets = {"plain": 87_592_038, "maxp": 9_944_166, "naivep": 11_596_902}
-    report = []
-    for J in (2, 3, 4, 5):
-        if input_size % (2 ** J) != 0:
-            continue
-        base = input_size // 2 ** J
-        for policy in ("frequency_decreasing", "full"):
-            counts = [count_paths(J, 8, m, policy) for m in range(max_depth + 1)]
-            variants = {
-                ("plain", "subsampled 2^J"): [base] * (max_depth + 1),
-                ("maxp", "pooled then subsampled 2^J"): [
-                    input_size // 2 ** m // 2 ** J for m in range(max_depth + 1)
-                ],
-                ("naivep", "3x3 floor"): [base // 3] * (max_depth + 1),
-                ("naivep", "3x3 ceil"): [-(-base // 3)] * (max_depth + 1),
-            }
-            for (mode, variant), resolutions in variants.items():
-                if any(r < 1 for r in resolutions):
-                    continue
-                features = sum(c * r * r for c, r in zip(counts, resolutions))
-                params = dense_head_parameters(features, fc_widths, n_classes)
-                report.append(
-                    {
-                        "mode": mode,
-                        "variant": variant,
-                        "J": J,
-                        "L": 8,
-                        "policy": policy,
-                        "layer_resolutions": tuple(resolutions),
-                        "total_features": features,
-                        "parameters": params,
-                        "target": targets.get(mode),
-                        "matches_target": params == targets.get(mode),
-                    }
-                )
-    return report

@@ -341,8 +341,11 @@ class TestBenchCommand:
         plain = payload["results"]["plain"]["propagated_samples_per_signal"]
         maxp = payload["results"]["maxp"]["propagated_samples_per_signal"]
         assert maxp < plain
-        matches = [r for r in payload["parameter_search"] if r["matches_target"]]
-        assert any(r["parameters"] == 87_592_038 for r in matches)
+        # 21 full paths at depth 2, each output on the 32x32 grid
+        summary = payload["results"]["plain"]["feature_summary"]
+        assert summary["total_features"] == 21 * 32 * 32
+        assert f"{summary['dense_head_parameters']:,} dense-head parameters" in text
+        assert set(payload) == {"results", "config"}
 
     def test_depth_zero_modes_tie(self, tmp_path):
         out = tmp_path / "bench"
@@ -352,6 +355,35 @@ class TestBenchCommand:
         payload = json.loads((out / "bench.json").read_text())
         assert (payload["results"]["plain"]["propagated_samples_per_signal"]
                 == payload["results"]["maxp"]["propagated_samples_per_signal"])
+
+    def test_subsample_outputs_key_reaches_the_trees(self, tmp_path):
+        cfg_file = tmp_path / "bench.cfg"
+        cfg_file.write_text("subsample_outputs = true\nbench_modes = plain,naivep\n")
+        out = tmp_path / "bench"
+        code = main(["bench", "--config", str(cfg_file), "--grid", "32", "--depth", "1",
+                     "--batch", "1", "--out", str(out)])
+        assert code == EXIT_PASS
+        results = json.loads((out / "bench.json").read_text())["results"]
+        # 5 paths up to depth 1; outputs subsampled by 2^J = 4 to 8x8, then
+        # naivep's truncating 3x3 block max leaves 2x2
+        assert results["plain"]["feature_summary"]["total_features"] == 5 * 8 * 8
+        assert results["naivep"]["feature_summary"]["total_features"] == 5 * 2 * 2
+
+    @pytest.mark.parametrize("modes, message", [
+        ("plain,naivep,maxp", "output subsampling is not implemented for mode 'maxp'"),
+        ("plain,plian", "unknown mode 'plian'"),
+    ])
+    def test_bad_mode_list_fails_before_any_tree(self, tmp_path, capsys, modes, message):
+        cfg_file = tmp_path / "bench.cfg"
+        cfg_file.write_text(f"subsample_outputs = true\nbench_modes = {modes}\n")
+        out = tmp_path / "bench"
+        code = main(["bench", "--config", str(cfg_file), "--grid", "32", "--depth", "1",
+                     "--batch", "1", "--out", str(out)])
+        assert code == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "signals/s" not in captured.out
+        assert not (out / "bench.json").exists()
 
 
 SRC_DIR = Path(scatmaxp.__file__).resolve().parent.parent

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scatmaxp.grid import (
     Plate,
@@ -243,15 +246,24 @@ class TestCommonTorusDifference:
 
 
 class TestFileFormats:
-    def test_sgrid_roundtrip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(14)
-        plate = Plate((-0.5, 0.25), (1.0, 2.0), (4, 6))
-        f = SignalGrid(plate, rng.random((4, 6)) + 1j * rng.random((4, 6)))
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), d=st.integers(1, 2))
+    def test_sgrid_roundtrip_is_bit_exact(self, tmp_path, data, d):
+        samples = data.draw(st.tuples(*[st.integers(1, 9)] * d), label="samples")
+        origin = data.draw(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * d),
+                           label="origin")
+        sides = data.draw(st.tuples(*[st.floats(min_value=0.0, exclude_min=True,
+                                                allow_infinity=False)] * d), label="sides")
+        values = data.draw(arrays(np.complex128, samples,
+                                  elements=st.complex_numbers(allow_nan=False)), label="values")
+        f = SignalGrid(Plate(origin, sides, samples), values)
         target = tmp_path / "sig.sgrid"
         write_sgrid(f, target)
         g = read_sgrid(target)
         assert g.plate == f.plate
         assert np.array_equal(g.values, f.values)
+        assert g.values.tobytes() == f.values.tobytes()  # signed zeros too
 
     def test_sgrid_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.sgrid"
@@ -262,6 +274,15 @@ class TestFileFormats:
         truncated.write_bytes(b"SGRID 1 0.0 1.0 4\n" + b"\x00" * 8)
         with pytest.raises(ValueError, match="truncated"):
             read_sgrid(truncated)
+        # the header says 4 samples, the payload holds 8
+        longer = tmp_path / "long.sgrid"
+        longer.write_bytes(b"SGRID 1 0.0 1.0 4\n" + b"\x00" * 16 * 8)
+        with pytest.raises(ValueError, match="trailing bytes after SGRID payload"):
+            read_sgrid(longer)
+        extra = tmp_path / "extra.sgrid"
+        extra.write_bytes(b"SGRID 1 0.0 1.0 4 7\n" + b"\x00" * 16 * 4)
+        with pytest.raises(ValueError, match="malformed SGRID header"):
+            read_sgrid(extra)
 
     def test_pgm_ingestion(self, tmp_path):
         pixels = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20
