@@ -66,13 +66,19 @@ def unit_plate(samples_per_axis: tuple[int, ...] | int, centered: bool = False) 
 
 @dataclass(frozen=True)
 class SignalGrid:
-    """Complex-valued samples of a compactly supported function on a plate."""
+    """Samples of a compactly supported function on a plate.
+
+    ``values`` is always a read-only copy of the input: float64 when the input
+    is real (bool, integer or floating), complex128 when it is complex, even
+    with an imaginary part of all zeros.
+    """
 
     plate: Plate
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.complex128, copy=True)
+        dtype = np.float64 if np.isrealobj(self.values) else np.complex128
+        v = np.array(self.values, dtype=dtype, copy=True)
         if v.shape != self.plate.samples_per_axis:
             raise ValueError(
                 f"values shape {v.shape} does not match plate samples "
@@ -169,6 +175,8 @@ def _direct_circular_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndar
     """
     d = values.ndim
     shape = values.shape
+    # einsum over mixed real and complex operands is markedly slower
+    values = values.astype(kernel.dtype, copy=False)
     tiled = np.roll(np.tile(values, (2,) * d), tuple(n - 1 for n in shape), tuple(range(d)))
     anchor = tiled[tuple(slice(n - 1, None) for n in shape)]
     view = np.lib.stride_tricks.as_strided(
@@ -263,12 +271,17 @@ def read_pgm(path) -> SignalGrid:
             i = j
     if len(tokens) < 4 or tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (P5) file")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:4])
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed PGM header") from exc
     if maxval != 255:
         raise ValueError(f"{path}: expected maxval 255, got {maxval}")
     i += 1  # single whitespace after maxval
     pixels = np.frombuffer(data[i:i + width * height], dtype=np.uint8)
     if pixels.size != width * height:
         raise ValueError(f"{path}: truncated PGM payload")
+    if len(data) > i + width * height:
+        raise ValueError(f"{path}: trailing bytes after PGM payload")
     values = pixels.reshape(height, width).astype(np.float64) / 255.0
     return SignalGrid(Plate((0.0, 0.0), (1.0, 1.0), (height, width)), values)

@@ -98,7 +98,7 @@ def propagate_one(
     method: str = "fft",
     f_hat: np.ndarray | None = None,
 ) -> SignalGrid:
-    """One wavelet-modulus step |psi_lambda * f| (real values, stored complex).
+    """One wavelet-modulus step |psi_lambda * f|, stored as float64.
 
     ``f_hat`` is ``fftn(f.values)`` when the caller already has it; the fft
     method then filters that spectrum instead of transforming f again.
@@ -131,12 +131,13 @@ def propagate_pooled(
 def window(f: SignalGrid, bank: FilterBank, method: str = "fft") -> SignalGrid:
     """Low-pass filtering with phi realized on f's grid at matching physical scale.
 
-    A real input takes the half spectrum (rfftn/irfftn): phi_hat is real and
-    symmetric under w -> -w, so the product keeps the Hermitian symmetry and
-    the output is real, with an imaginary part of exactly 0.
+    Under the fft method, a float64 input, or a complex one whose imaginary
+    part is all zeros, takes the half spectrum (rfftn/irfftn): phi_hat is
+    real and symmetric under w -> -w, so the product keeps the Hermitian
+    symmetry and the output is real, stored as float64.
     """
     _, phi = bank.realize(f.shape)
-    if method == "fft" and not f.values.imag.any():
+    if method == "fft" and (np.isrealobj(f.values) or not f.values.imag.any()):
         axes = tuple(range(f.plate.dim))
         spectrum = np.fft.rfftn(f.values.real, axes=axes)
         spectrum *= phi[..., :spectrum.shape[-1]]

@@ -168,6 +168,7 @@ def test_criterion_7_oracle_equivalence():
             pooled = max_pool(f, part, 2.0, "off")
             oracle = nested_loop_block_max(f.values, (8, 8), pooled.shape)
             assert np.array_equal(pooled.values.real, oracle)
+            assert pooled.values.dtype == np.float64
             assert np.all(pooled.values.imag == 0)
         info.update(conv_rel_err=f"{worst:.2g}", pool_cases="100 bit-exact")
 

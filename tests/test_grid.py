@@ -74,6 +74,51 @@ class TestPlate:
             f.values[0] = 2.0
 
 
+class TestSignalStorage:
+    @pytest.mark.parametrize("values", [
+        np.arange(4, dtype=np.uint8),
+        np.array([True, False, True, True]),
+        np.arange(4),
+        np.arange(4, dtype=np.float32),
+        np.arange(4, dtype=np.float64),
+        [0, 1, 2, 3],
+    ])
+    def test_real_input_is_stored_as_float64(self, values):
+        f = SignalGrid(unit_plate((4,)), values)
+        assert f.values.dtype == np.float64
+        assert np.array_equal(f.values, np.asarray(values, dtype=np.float64))
+
+    @pytest.mark.parametrize("values", [
+        np.arange(4) + 1j * np.arange(4),
+        (np.arange(4) + 1j).astype(np.complex64),
+        np.arange(4, dtype=np.complex128),  # imaginary part all zeros
+    ])
+    def test_complex_input_stays_complex128(self, values):
+        f = SignalGrid(unit_plate((4,)), values)
+        assert f.values.dtype == np.complex128
+        assert np.array_equal(f.values, values)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.uint8])
+    def test_values_are_a_read_only_copy(self, dtype):
+        source = np.arange(4).astype(dtype)
+        f = SignalGrid(unit_plate((4,)), source)
+        assert not np.shares_memory(f.values, source)
+        assert not f.values.flags.writeable
+        source[0] = 9
+        assert f.values[0] == 0
+        assert source.flags.writeable
+
+    def test_direct_convolution_of_real_values_equals_their_complex_cast(self):
+        rng = np.random.default_rng(12)
+        for shape in [(16,), (8, 8), (5, 12)]:
+            values = rng.random(shape)
+            kernel_hat = rng.random(shape) + 1j * rng.random(shape)
+            real = convolve(SignalGrid(unit_plate(shape), values), kernel_hat, method="direct")
+            cast = convolve(SignalGrid(unit_plate(shape), values.astype(np.complex128)),
+                            kernel_hat, method="direct")
+            assert np.array_equal(real.values, cast.values)
+
+
 class TestNorms:
     def test_zero_signal(self):
         f = SignalGrid(unit_plate((8, 8)), np.zeros((8, 8)))
@@ -291,6 +336,7 @@ class TestFileFormats:
         f = read_pgm(target)
         assert f.plate == Plate((0.0, 0.0), (1.0, 1.0), (3, 4))
         np.testing.assert_allclose(f.values.real, pixels / 255.0)
+        assert f.values.dtype == np.float64
         assert np.all(f.values.imag == 0)
 
     def test_pgm_rejects_wrong_maxval_and_magic(self, tmp_path):
@@ -300,4 +346,18 @@ class TestFileFormats:
             read_pgm(bad)
         bad.write_bytes(b"P2\n2 2\n255\n0 0 0 0")
         with pytest.raises(ValueError, match="P5"):
+            read_pgm(bad)
+
+    def test_pgm_rejects_trailing_bytes(self, tmp_path):
+        longer = tmp_path / "long.pgm"
+        longer.write_bytes(b"P5\n2 2\n255\n" + b"\x00" * 5)
+        with pytest.raises(ValueError, match="trailing bytes after PGM payload"):
+            read_pgm(longer)
+
+    @pytest.mark.parametrize("header", [b"P5\nwide 2\n255\n", b"P5\n2 2.5\n255\n",
+                                        b"P5\n2 2\n0xff\n"])
+    def test_pgm_rejects_non_numeric_header_fields(self, tmp_path, header):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(header + b"\x00" * 4)
+        with pytest.raises(ValueError, match="malformed PGM header"):
             read_pgm(bad)

@@ -127,6 +127,7 @@ class TestMaxPool:
                 pooled = max_pool(f, PlatePartition(f.plate, blocks), S, "off")
                 oracle = nested_loop_block_max(f.values, blocks, pooled.shape)
                 assert np.array_equal(pooled.values.real, oracle)
+                assert pooled.values.dtype == np.float64
                 assert np.all(pooled.values.imag == 0)
 
     def test_output_is_piecewise_constant_per_sub_plate(self):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scatmaxp.filterbank import (
     FilterIndex,
@@ -84,6 +87,7 @@ class TestPropagate:
     def test_output_is_nonnegative_real(self, bank32):
         f = random_signal((32, 32), seed=1)
         out = propagate_one(f, FilterIndex(1, 0), bank32)
+        assert out.values.dtype == np.float64
         assert np.all(out.values.real >= 0)
         assert np.all(out.values.imag == 0)
 
@@ -211,6 +215,44 @@ class TestComputeTree:
                 tree_s.outputs[p].values, np.roll(tree_f.outputs[p].values, c, (0, 1))
             )
 
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(data=st.data(), d=st.integers(1, 2), complex_input=st.booleans())
+    def test_direct_cascade_commutes_with_circular_shifts(self, data, d, complex_input):
+        shape = data.draw(st.tuples(*[st.integers(2, 8).map(lambda k: 2 * k)] * d),
+                          label="shape")
+        shift = data.draw(st.tuples(*[st.integers(-n + 1, n - 1) for n in shape]), label="shift")
+        parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+        values = data.draw(arrays(np.float64, shape, elements=parts), label="values")
+        if complex_input:
+            values = values + 1j * data.draw(arrays(np.float64, shape, elements=parts),
+                                             label="imag")
+        bank = build_morlet_bank(1, 1 if d == 1 else 2, shape)
+        f = SignalGrid(unit_plate(shape), values)
+        tree_f = compute_tree(f, bank, "plain", 1, conv_method="direct")
+        tree_s = compute_tree(translate_in_plate(f, shift), bank, "plain", 1,
+                              conv_method="direct")
+        axes = tuple(range(d))
+        for p in tree_f.nodes:
+            for a, b in ((tree_f.nodes[p], tree_s.nodes[p]), (tree_f.outputs[p], tree_s.outputs[p])):
+                assert b.values.dtype == a.values.dtype
+                assert np.array_equal(b.values, np.roll(a.values, shift, axes))
+
+    @pytest.mark.parametrize("mode", ["plain", "maxp", "naivep"])
+    def test_real_input_keeps_every_array_float64(self, bank32, mode):
+        pool_cfg = PoolConfig(2, 2.0, "off") if mode == "maxp" else None
+        tree = compute_tree(random_signal((32, 32), seed=9), bank32, mode, 2, pool_cfg=pool_cfg)
+        grids = list(tree.nodes.values()) + list(tree.outputs.values())
+        assert {g.values.dtype for g in grids} == {np.dtype(np.float64)}
+        assert sum(g.values.nbytes for g in tree.nodes.values()) == tree.total_node_samples() * 8
+
+    def test_complex_root_keeps_a_complex_output(self, bank32):
+        rng = np.random.default_rng(10)
+        values = rng.random((32, 32)) + 1j * rng.random((32, 32))
+        tree = compute_tree(SignalGrid(unit_plate((32, 32)), values), bank32, "plain", 1)
+        assert tree.nodes[()].values.dtype == np.complex128
+        assert tree.outputs[()].values.dtype == np.complex128
+        assert tree.nodes[tree.paths_at(1)[0]].values.dtype == np.float64
+
     def test_naivep_pools_the_plain_outputs(self, bank32):
         f = random_signal((32, 32), seed=7)
         plain = compute_tree(f, bank32, "plain", 1)
@@ -309,6 +351,7 @@ class TestSpectralEngine:
         f = random_signal(shape, seed=16)
         out = window(f, bank)
         expected = convolve(f, bank.realize(shape)[1])
+        assert out.values.dtype == np.float64
         assert np.all(out.values.imag == 0)
         scale = np.max(np.abs(expected.values))
         assert np.max(np.abs(out.values - expected.values)) <= 1e-13 * scale
