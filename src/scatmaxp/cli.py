@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 import warnings
@@ -30,6 +29,7 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 OUTPUT_FORMATS = ("sgrid-manifest", "csv")
+CASCADE_DEPTH = 2  # scatter and bench; verify certifies at VerifyConfig.max_depth
 
 
 @dataclass
@@ -39,23 +39,22 @@ class RunConfig:
     j: int = 2
     l: int = 2
     grid: tuple[int, ...] = (64, 64)
-    sigma0: float = 0.8
-    xi0: float = 3.0 * math.pi / 4.0
-    slant: float | None = None
+    sigma0: float = MorletParams.sigma0
+    xi0: float = MorletParams.xi0
+    slant: float | None = MorletParams.slant
     equalize: bool = True
     bank_kind: str = "morlet"
     mode: str = "plain"
-    depth: int = 2
+    depth: int | None = None  # None: the command's own default, resolved in main
     policy: str = "full"
-    pool_blocks: int = 2
-    pool_factor: float = 2.0
+    pool_blocks: int = PoolConfig.block_samples
+    pool_factor: float = PoolConfig.factor
     strict_pooling: bool = False
     subsample_outputs: bool = False
     format: str = "sgrid-manifest"
     out: str = "scatmaxp-out"
     seed: int = 0
     suites: str = "contraction,commutation,energy,decay,equivariance"
-    verify_depth: int = 3
     trials_contraction: int = 1000
     trials_commutation: int = 200
     trials_equivariance: int = 50
@@ -80,15 +79,19 @@ class RunConfig:
         return PoolConfig(self.pool_blocks, self.pool_factor,
                           "strict" if self.strict_pooling else "warn")
 
+    def tree(self, f: SignalGrid, bank, mode: str):
+        return compute_tree(f, bank, mode=mode, max_depth=self.depth, policy=self.policy,
+                            pool_cfg=self.pool_config(), output_subsample=self.subsample_outputs)
+
 
 def _coerce(name: str, kind: str, raw: str):
     raw = raw.strip()
+    if kind.endswith(" | None"):
+        return None if raw.lower() in ("none", "") else _coerce(name, kind[:-len(" | None")], raw)
     if kind == "int":
         return int(raw)
     if kind == "float":
         return float(raw)
-    if kind == "float | None":
-        return None if raw.lower() in ("none", "") else float(raw)
     if kind == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
@@ -116,7 +119,6 @@ def load_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    known = {f.name for f in fields(RunConfig)}
     updates = {}
     try:
         text = FsPath(path).read_text()
@@ -130,7 +132,7 @@ def load_config(path: str | None) -> RunConfig:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        if key not in known:
+        if key not in _FIELD_KINDS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         updates[key] = _coerce(key, _FIELD_KINDS[key], value)
         if key in _FIELD_CHOICES:
@@ -209,13 +211,8 @@ def _scatter_one(cfg: RunConfig, input_path: str) -> str:
     bank = cfg.make_bank(f.shape)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AdmissibilityWarning)
-        tree = compute_tree(
-            f, bank, mode=cfg.mode, max_depth=cfg.depth, policy=cfg.policy,
-            pool_cfg=cfg.pool_config(), output_subsample=cfg.subsample_outputs,
-        )
-    admissibility_flags = sum(
-        issubclass(w.category, AdmissibilityWarning) for w in caught
-    )
+        tree = cfg.tree(f, bank, cfg.mode)
+    admissibility_flags = sum(issubclass(w.category, AdmissibilityWarning) for w in caught)
     summary = feature_summary(tree, n_classes=cfg.n_classes)
     out = FsPath(cfg.out) / FsPath(input_path).stem
     out.mkdir(parents=True, exist_ok=True)
@@ -269,7 +266,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     vconfig = VerifyConfig(
         seed=cfg.seed, grid=cfg.grid, J=cfg.j, L=cfg.l, bank_kind=cfg.bank_kind,
         equalize=cfg.equalize, morlet_params=MorletParams(cfg.sigma0, cfg.xi0, cfg.slant),
-        pool=cfg.pool_config(), max_depth=cfg.verify_depth,
+        pool=cfg.pool_config(), max_depth=cfg.depth,
     )
     trials = {
         "contraction": cfg.trials_contraction,
@@ -319,11 +316,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     results = {}
     for mode in modes:
         start = time.perf_counter()
-        trees = [
-            compute_tree(f, bank, mode=mode, max_depth=cfg.depth, policy=cfg.policy,
-                         pool_cfg=cfg.pool_config(), output_subsample=cfg.subsample_outputs)
-            for f in batch
-        ]
+        trees = [cfg.tree(f, bank, mode) for f in batch]
         elapsed = time.perf_counter() - start
         tree = trees[0]
         per_layer = {
@@ -369,34 +362,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_bank: bool = True):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("--config", help="plain-text key=value config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="random seed")
-        if with_bank:
-            p.add_argument("-J", dest="j", type=int, help="scaling level")
-            p.add_argument("-L", dest="l", type=int, help="rotation count")
-            p.add_argument("--grid", help="grid samples, N or N0xN1")
-            p.add_argument("--bank-kind", dest="bank_kind", choices=BANK_KINDS)
-            p.add_argument("--raw-bank", dest="equalize", action="store_false", default=None,
-                           help="skip the Littlewood-Paley equalization step")
+        p.add_argument("-J", dest="j", type=int, help="scaling level")
+        p.add_argument("-L", dest="l", type=int, help="rotation count")
+        p.add_argument("--bank-kind", dest="bank_kind", choices=BANK_KINDS)
+        p.add_argument("--raw-bank", dest="equalize", action="store_false", default=None,
+                       help="skip the Littlewood-Paley equalization step")
 
     p = sub.add_parser("filterbank", help="export filters and frame diagnostics")
     common(p)
+    p.add_argument("--grid", help="grid samples, N or N0xN1")
     p.add_argument("--sigma0", type=float)
     p.add_argument("--xi0", type=float)
     p.add_argument("--slant", type=float)
 
+    # no --grid or --seed: banks are built on each input's shape, and nothing is drawn
     p = sub.add_parser("scatter", help="extract scattering coefficients from images")
     common(p)
     p.add_argument("inputs", nargs="+", metavar="INPUT", help=".pgm or .sgrid files")
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=int, help=f"cascade depth (default {CASCADE_DEPTH})")
     p.add_argument("--policy", choices=PATH_POLICIES)
     p.add_argument("--pool-blocks", dest="pool_blocks", type=int,
-                   help="samples per pooling sub-plate per axis (default 2)")
+                   help=f"samples per pooling sub-plate per axis (default {PoolConfig.block_samples})")
     p.add_argument("--pool-factor", dest="pool_factor", type=float,
-                   help="plate shrink factor S (default 2)")
+                   help=f"plate shrink factor S (default {PoolConfig.factor:g})")
     p.add_argument("--strict-pooling", dest="strict_pooling", action="store_true", default=None)
     p.add_argument("--subsample-outputs", dest="subsample_outputs", action="store_true",
                    default=None)
@@ -405,8 +397,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the numerical certification suites")
     common(p)
+    p.add_argument("--grid", help="grid samples, N or N0xN1")
+    p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--suites", help="comma list: contraction,commutation,energy,decay,equivariance")
-    p.add_argument("--depth", dest="verify_depth", type=int)
+    p.add_argument("--depth", type=int, help=f"cascade depth (default {VerifyConfig.max_depth})")
     p.add_argument("--pool-blocks", dest="pool_blocks", type=int)
     p.add_argument("--pool-factor", dest="pool_factor", type=float)
     p.add_argument("--strict-pooling", dest="strict_pooling", action="store_true", default=None)
@@ -418,11 +412,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="feature-extraction throughput and size accounting")
     common(p)
+    p.add_argument("--grid", help="grid samples, N or N0xN1")
+    p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--modes", dest="bench_modes", metavar="MODES",
                    help="comma list of cascade modes")
     p.add_argument("--batch", dest="bench_batch", metavar="BATCH", type=int,
                    help="synthetic batch size")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=int, help=f"cascade depth (default {CASCADE_DEPTH})")
     p.add_argument("--policy", choices=PATH_POLICIES)
     p.add_argument("--n-classes", dest="n_classes", type=int)
     return parser
@@ -433,6 +429,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = apply_flags(load_config(args.config), args)
+        if cfg.depth is None:
+            cfg = replace(cfg, depth=VerifyConfig.max_depth if args.command == "verify"
+                          else CASCADE_DEPTH)
         if args.command == "filterbank":
             return cmd_filterbank(cfg)
         if args.command == "scatter":

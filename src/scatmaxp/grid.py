@@ -217,13 +217,9 @@ def write_sgrid(f: SignalGrid, path) -> None:
         + [repr(x) for x in p.side_lengths]
         + [str(n) for n in p.samples_per_axis]
     )
-    flat = np.ascontiguousarray(f.values).ravel()
-    buf = np.empty(2 * flat.size, dtype="<f8")
-    buf[0::2] = flat.real
-    buf[1::2] = flat.imag
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        fh.write(buf.tobytes())
+        fh.write(f.values.astype("<c16").tobytes())
 
 
 def read_sgrid(path) -> SignalGrid:

@@ -14,7 +14,7 @@ from math import comb, prod
 import numpy as np
 
 from .filterbank import FilterBank, FilterIndex
-from .grid import Plate, SignalGrid, convolve
+from .grid import Plate, SignalGrid, _direct_circular_convolve, convolve
 from .pooling import PlatePartition, _block_maxima, max_pool
 
 Path = tuple[FilterIndex, ...]
@@ -131,17 +131,21 @@ def propagate_pooled(
 def window(f: SignalGrid, bank: FilterBank, method: str = "fft") -> SignalGrid:
     """Low-pass filtering with phi realized on f's grid at matching physical scale.
 
-    Under the fft method, a float64 input, or a complex one whose imaginary
-    part is all zeros, takes the half spectrum (rfftn/irfftn): phi_hat is
-    real and symmetric under w -> -w, so the product keeps the Hermitian
-    symmetry and the output is real, stored as float64.
+    phi_hat is real and symmetric under w -> -w, so a float64 input, or a
+    complex one whose imaginary part is all zeros, has a real window, stored
+    as float64.  The fft method takes its half spectrum (rfftn/irfftn); the
+    direct method sums against the real part of phi's spatial kernel, whose
+    imaginary part is rounding.
     """
     _, phi = bank.realize(f.shape)
-    if method == "fft" and (np.isrealobj(f.values) or not f.values.imag.any()):
+    real = np.isrealobj(f.values) or not f.values.imag.any()
+    if method == "fft" and real:
         axes = tuple(range(f.plate.dim))
         spectrum = np.fft.rfftn(f.values.real, axes=axes)
         spectrum *= phi[..., :spectrum.shape[-1]]
         return f.with_values(np.fft.irfftn(spectrum, s=f.shape, axes=axes))
+    if method == "direct" and real:
+        return f.with_values(_direct_circular_convolve(f.values.real, np.fft.ifftn(phi).real))
     return convolve(f, phi, method=method)
 
 

@@ -128,10 +128,9 @@ class VerifyConfig:
         return summary
 
 
-def random_signal(rng: np.random.Generator, family: str, shape: tuple[int, ...],
-                  centered: bool = True) -> SignalGrid:
-    """The two generator families: flat uniform values and sparse spikes."""
-    plate = unit_plate(shape, centered=centered)
+def random_signal(rng: np.random.Generator, family: str, shape: tuple[int, ...]) -> SignalGrid:
+    """The two generator families on the centered unit plate: flat uniform values and sparse spikes."""
+    plate = unit_plate(shape, centered=True)
     if family == "uniform":
         values = rng.random(shape)
     elif family == "spikes":
@@ -348,7 +347,7 @@ def check_shift_equivariance_plain(
     offsets = tuple(n // 4 for n in shape)
     shifted = translate_in_plate(f, offsets)
     for J_diag in (1, 2, 3):
-        bank_j = build_morlet_bank(J_diag, config.L, shape, config.morlet_params, config.equalize)
+        bank_j = replace(config, J=J_diag).make_bank(shape)
         t_f = compute_tree(f, bank_j, "plain", depth, "full")
         t_s = compute_tree(shifted, bank_j, "plain", depth, "full")
         diff = sum(

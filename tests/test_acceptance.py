@@ -164,7 +164,7 @@ def test_criterion_7_oracle_equivalence():
         part = PlatePartition(pool_plate, (8, 8))
         for case in range(100):
             family = "uniform" if case % 2 == 0 else "spikes"
-            f = random_signal(rng, family, (16, 16), centered=False)
+            f = SignalGrid(pool_plate, random_signal(rng, family, (16, 16)).values)
             pooled = max_pool(f, part, 2.0, "off")
             oracle = nested_loop_block_max(f.values, (8, 8), pooled.shape)
             assert np.array_equal(pooled.values.real, oracle)

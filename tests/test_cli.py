@@ -50,6 +50,19 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(str(cfg_file))
 
+    def test_verify_depth_key_is_gone(self, tmp_path):
+        # depth is the one depth key for every command
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("verify_depth = 2\n")
+        with pytest.raises(ValueError, match="unknown config key 'verify_depth'"):
+            load_config(str(cfg_file))
+
+    @pytest.mark.parametrize("text,depth", [("", None), ("depth = 1\n", 1), ("depth = none\n", None)])
+    def test_depth_key_is_an_optional_int(self, tmp_path, text, depth):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(text)
+        assert load_config(str(cfg_file)).depth == depth
+
     @pytest.mark.parametrize("text,argv,expected", [
         ("strict_pooling = true\n", ["scatter", "img.pgm"], {"strict_pooling": True}),
         ("strict_pooling = true\n", ["verify"], {"strict_pooling": True}),
@@ -328,6 +341,61 @@ class TestVerifyCommand:
         assert "unknown suites" in capsys.readouterr().err
 
 
+class TestDepth:
+    """One depth key and one --depth flag for scatter, verify and bench."""
+
+    VERIFY = ["verify", "--suites", "energy", "--grid", "32", "--energy-inputs", "1"]
+
+    @staticmethod
+    def energy_env_depth(out):
+        lines = (out / "energy.csv").read_text().splitlines()
+        return [line for line in lines if line.startswith("# env max_depth=")]
+
+    def test_verify_reads_the_depth_key_and_the_flag_overrides_it(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("depth = 1\n")
+        out = tmp_path / "key"
+        assert main([*self.VERIFY, "--config", str(cfg_file), "--out", str(out)]) == EXIT_PASS
+        assert self.energy_env_depth(out) == ["# env max_depth=1"]
+        assert "# config depth=1" in (out / "summary.txt").read_text().splitlines()
+        out = tmp_path / "flag"
+        assert main([*self.VERIFY, "--config", str(cfg_file), "--depth", "2",
+                     "--out", str(out)]) == EXIT_PASS
+        assert self.energy_env_depth(out) == ["# env max_depth=2"]
+
+    def test_verify_defaults_to_depth_3_and_echoes_it(self, tmp_path):
+        out = tmp_path / "verify"
+        assert main([*self.VERIFY, "--out", str(out)]) == EXIT_PASS
+        assert self.energy_env_depth(out) == ["# env max_depth=3"]
+        echo = (out / "summary.txt").read_text().splitlines()
+        assert "# config depth=3" in echo
+        assert not any("verify_depth" in line for line in echo)
+
+    def test_scatter_and_bench_default_to_depth_2(self, tmp_path):
+        image = write_test_pgm(tmp_path / "img.pgm")
+        assert main(["scatter", str(image), "--out", str(tmp_path / "s")]) == EXIT_PASS
+        manifest = json.loads((tmp_path / "s" / "img" / "manifest.json").read_text())
+        assert manifest["max_depth"] == 2 and manifest["config"]["depth"] == 2
+        assert main(["bench", "--grid", "32", "--batch", "1", "--modes", "plain",
+                     "--out", str(tmp_path / "b")]) == EXIT_PASS
+        payload = json.loads((tmp_path / "b" / "bench.json").read_text())
+        assert payload["config"]["depth"] == 2
+        assert list(payload["results"]["plain"]["per_layer_samples"]) == ["0", "1", "2"]
+
+    def test_depth_key_reaches_scatter_and_bench(self, tmp_path):
+        image = write_test_pgm(tmp_path / "img.pgm")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("depth = 1\n")
+        assert main(["scatter", str(image), "--config", str(cfg_file),
+                     "--out", str(tmp_path / "s")]) == EXIT_PASS
+        manifest = json.loads((tmp_path / "s" / "img" / "manifest.json").read_text())
+        assert manifest["max_depth"] == 1
+        assert main(["bench", "--config", str(cfg_file), "--grid", "32", "--batch", "1",
+                     "--modes", "plain", "--out", str(tmp_path / "b")]) == EXIT_PASS
+        payload = json.loads((tmp_path / "b" / "bench.json").read_text())
+        assert list(payload["results"]["plain"]["per_layer_samples"]) == ["0", "1"]
+
+
 class TestBenchCommand:
     def test_reports_throughput_and_sample_advantage(self, tmp_path, capsys):
         out = tmp_path / "bench"
@@ -443,3 +511,29 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--unknown-flag"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["scatter", "img.pgm", "--grid", "32"],  # banks are built on each input's shape
+        ["scatter", "img.pgm", "--seed", "1"],
+        ["filterbank", "--seed", "1"],
+    ])
+    def test_flags_a_command_never_reads_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_grid_and_seed_keys_still_reach_the_commands_that_read_them(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("grid = 16\nseed = 7\n")
+        assert main(["filterbank", "--config", str(cfg_file),
+                     "--out", str(tmp_path / "f")]) == EXIT_PASS
+        assert json.loads((tmp_path / "f" / "manifest.json").read_text())["grid"] == [16, 16]
+        assert main(["verify", "--config", str(cfg_file), "--suites", "contraction",
+                     "--trials-contraction", "4", "--out", str(tmp_path / "v")]) == EXIT_PASS
+        lines = (tmp_path / "v" / "contraction.csv").read_text().splitlines()
+        assert {"# env grid=(16, 16)", "# env seed=7"} <= set(lines)
+        assert main(["bench", "--config", str(cfg_file), "--depth", "1", "--batch", "1",
+                     "--modes", "plain", "--out", str(tmp_path / "b")]) == EXIT_PASS
+        config = json.loads((tmp_path / "b" / "bench.json").read_text())["config"]
+        assert (config["grid"], config["seed"]) == ([16, 16], 7)

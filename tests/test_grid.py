@@ -310,6 +310,17 @@ class TestFileFormats:
         assert np.array_equal(g.values, f.values)
         assert g.values.tobytes() == f.values.tobytes()  # signed zeros too
 
+    def test_sgrid_payload_is_little_endian_re_im_pairs(self, tmp_path):
+        # real values are written with a +0.0 imaginary part; signed zeros survive
+        for values in (np.array([[1.5, -0.0], [2.0, 3.0]]),
+                       np.array([[1.5 - 0.0j, -2.0 + 0.5j], [0.0 - 1.0j, 3.0]])):
+            target = tmp_path / "sig.sgrid"
+            write_sgrid(SignalGrid(unit_plate((2, 2)), values), target)
+            header, payload = target.read_bytes().split(b"\n", 1)
+            assert header == b"SGRID 2 0.0 0.0 1.0 1.0 2 2"
+            pairs = np.stack([values.real, np.imag(values)], axis=-1)
+            assert payload == pairs.astype("<f8").tobytes()
+
     def test_sgrid_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.sgrid"
         bad.write_bytes(b"SOUP 2 0 0 1 1 4 4\n")

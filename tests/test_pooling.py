@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from scatmaxp.grid import Plate, SignalGrid, l2_norm, translate_with_plate, unit_plate
+from scatmaxp.grid import Plate, SignalGrid, l2_norm, linf_norm, translate_with_plate, unit_plate
 from scatmaxp.pooling import (
     AdmissibilityError,
     AdmissibilityWarning,
@@ -203,3 +206,75 @@ class TestMaxPool:
             max_pool(f, part, 3.0, "off")
         with pytest.raises(ValueError, match="whole cells"):
             max_pool(f, PlatePartition(f.plate, (8, 8)), 4.0, "off")
+
+
+@st.composite
+def pooling_set_ups(draw, one_cell_per_sub_plate=False):
+    """A 1-D or 2-D signal on the centered unit plate with a partition and a pooling factor S.
+
+    Every sub-plate holds S * m samples per axis, so its image covers m whole
+    output cells per axis; ``one_cell_per_sub_plate`` fixes m = 1.
+    """
+    d = draw(st.integers(1, 2), label="d")
+    S = draw(st.integers(1, 4), label="S")
+    blocks = draw(st.tuples(*[st.integers(1, 4)] * d), label="blocks")
+    cells = (1,) * d if one_cell_per_sub_plate else draw(st.tuples(*[st.integers(1, 3)] * d),
+                                                         label="cells")
+    shape = tuple(b * S * m for b, m in zip(blocks, cells))
+    values = draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)), label="values")
+    offset = draw(st.floats(0.0, 2.0), label="offset")
+    f = SignalGrid(unit_plate(shape, centered=True), values + offset)
+    assume(l2_norm(f) > 0.0)  # squares of values below ~1e-162 underflow
+    return f, PlatePartition(f.plate, blocks), float(S)
+
+
+class TestMaxPoolProperties:
+    """max_pool over random 1-D and 2-D shapes, block counts and factors S."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(set_up=pooling_set_ups(one_cell_per_sub_plate=True))
+    def test_one_output_cell_per_sub_plate_contracts_every_signal(self, set_up):
+        # each sub-plate of S^d cells maps to one cell of the same volume: max^2 <= sum of squares
+        f, part, S = set_up
+        assert l2_norm(max_pool(f, part, S, "off")) <= l2_norm(f) * (1 + 1e-12)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(set_up=pooling_set_ups())
+    def test_contracts_when_S_meets_the_sup_norm_bound(self, set_up):
+        # ||P f||^2 <= |D| ||f||_inf^2 / S^d, so S^d >= |D| ||f||_inf^2 / ||f||_2^2 contracts
+        f, part, S = set_up
+        assume(S ** f.plate.dim >= f.plate.volume * (linf_norm(f) / l2_norm(f)) ** 2)
+        assert l2_norm(max_pool(f, part, S, "off")) <= l2_norm(f) * (1 + 1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "S > (|D| ||f||_inf / ||f||_2)^(1/d) does not bound ||P f||_2 by ||f||_2 once a "
+        "sub-plate covers more than one output cell: [1, .1, .1, .1] in one block with "
+        "S = 2 has threshold 1.97 and norms 0.507 -> 0.707"))
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(set_up=pooling_set_ups())
+    @example(set_up=(SignalGrid(unit_plate((4,)), np.array([1.0, 0.1, 0.1, 0.1])),
+                     PlatePartition(unit_plate((4,)), (1,)), 2.0))
+    def test_admissible_factor_never_raises_the_norm(self, set_up):
+        f, part, S = set_up
+        assume(S > min_admissible_factor(f))
+        assert l2_norm(max_pool(f, part, S, "off")) <= l2_norm(f) * (1 + 1e-12)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(set_up=pooling_set_ups(), data=st.data())
+    def test_commutes_with_whole_sub_plate_translations(self, set_up, data):
+        f, part, S = set_up
+        # moves of up to half the plate keep the origin of R^d inside the moved plate
+        ks = data.draw(st.tuples(*[st.integers(-(b // 2), b // 2) for b in part.blocks_per_axis]),
+                       label="sub-plates moved")
+        c = tuple(k * w for k, w in zip(ks, part.block_side_lengths))
+        moved = translate_with_plate(f, c)
+        lhs = max_pool(moved, PlatePartition(moved.plate, part.blocks_per_axis), S, "off")
+        rhs = translate_with_plate(max_pool(f, part, S, "off"), tuple(x / S for x in c))
+        assert np.array_equal(lhs.values, rhs.values)
+        assert lhs.plate.side_lengths == rhs.plate.side_lengths
+        assert lhs.plate.samples_per_axis == rhs.plate.samples_per_axis
+        # (o + c) / S and o / S + c / S round alike only when dividing by S is exact
+        if S in (1.0, 2.0, 4.0):
+            assert lhs.plate.origin == rhs.plate.origin
+        else:
+            assert np.allclose(lhs.plate.origin, rhs.plate.origin, rtol=0.0, atol=1e-15)

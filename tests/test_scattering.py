@@ -240,10 +240,13 @@ class TestComputeTree:
     @pytest.mark.parametrize("mode", ["plain", "maxp", "naivep"])
     def test_real_input_keeps_every_array_float64(self, bank32, mode):
         pool_cfg = PoolConfig(2, 2.0, "off") if mode == "maxp" else None
-        tree = compute_tree(random_signal((32, 32), seed=9), bank32, mode, 2, pool_cfg=pool_cfg)
-        grids = list(tree.nodes.values()) + list(tree.outputs.values())
-        assert {g.values.dtype for g in grids} == {np.dtype(np.float64)}
-        assert sum(g.values.nbytes for g in tree.nodes.values()) == tree.total_node_samples() * 8
+        for conv_method in ("fft", "direct"):
+            tree = compute_tree(random_signal((32, 32), seed=9), bank32, mode, 2,
+                                pool_cfg=pool_cfg, conv_method=conv_method)
+            grids = list(tree.nodes.values()) + list(tree.outputs.values())
+            assert {g.values.dtype for g in grids} == {np.dtype(np.float64)}, conv_method
+            node_bytes = sum(g.values.nbytes for g in tree.nodes.values())
+            assert node_bytes == tree.total_node_samples() * 8
 
     def test_complex_root_keeps_a_complex_output(self, bank32):
         rng = np.random.default_rng(10)

@@ -6,6 +6,7 @@ import pytest
 from scatmaxp.filterbank import littlewood_paley_sum
 from scatmaxp.grid import SignalGrid, l2_norm, unit_plate
 from scatmaxp.pooling import PlatePartition, max_pool
+from scatmaxp import verify
 from scatmaxp.scattering import PoolConfig
 from scatmaxp.verify import (
     VerificationReport,
@@ -213,6 +214,17 @@ class TestShiftEquivariance:
     def test_invariance_diagnostic_is_recorded_per_J(self):
         config = VerifyConfig(equivariance_grid=(16, 16), equivariance_depth=1)
         report = check_shift_equivariance_plain(2, config)
+        assert sum("L_c output difference at J=" in n for n in report.notes) == 3
+
+    def test_invariance_diagnostic_builds_banks_of_the_configured_kind(self, monkeypatch):
+        def morlet_refused(*args, **kwargs):
+            raise AssertionError("a Morlet bank was built for a partition config")
+
+        monkeypatch.setattr(verify, "build_morlet_bank", morlet_refused)
+        config = VerifyConfig(bank_kind="partition", equivariance_grid=(16, 16),
+                              equivariance_depth=1)
+        report = check_shift_equivariance_plain(1, config)
+        assert report.verdict == "pass"
         assert sum("L_c output difference at J=" in n for n in report.notes) == 3
 
 
