@@ -1,6 +1,7 @@
 """Windowed scattering transform with continuous max-pooling on plates."""
 
 from .filterbank import (
+    BankSpec,
     FilterBank,
     FilterIndex,
     MorletParams,

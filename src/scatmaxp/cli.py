@@ -17,7 +17,8 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .filterbank import BANK_KINDS, MorletParams, build_morlet_bank, build_partition_bank, frame_defect, theorem_constant_B
+from .filterbank import BANK_KINDS, BankSpec, MorletParams, frame_defect, theorem_constant_B
+from .filterbank import build_morlet_bank  # not called here; perfbench/tracing.py patches this name
 from .grid import SignalGrid, read_pgm, read_sgrid, unit_plate, write_sgrid
 from .pooling import AdmissibilityWarning
 from .scattering import MODES, PATH_POLICIES, PoolConfig, check_mode, compute_tree, feature_summary
@@ -69,11 +70,9 @@ class RunConfig:
         d["grid"] = list(self.grid)
         return d
 
-    def make_bank(self, shape: tuple[int, ...]):
-        if self.bank_kind == "partition":
-            return build_partition_bank(self.j, self.l, shape)
-        params = MorletParams(self.sigma0, self.xi0, self.slant)
-        return build_morlet_bank(self.j, self.l, shape, params, equalize=self.equalize)
+    def bank_spec(self) -> BankSpec:
+        return BankSpec(self.j, self.l, self.bank_kind, self.equalize,
+                        MorletParams(self.sigma0, self.xi0, self.slant))
 
     def pool_config(self) -> PoolConfig:
         return PoolConfig(self.pool_blocks, self.pool_factor,
@@ -163,7 +162,7 @@ def _write_json(path: FsPath, payload: dict) -> None:
 def cmd_filterbank(cfg: RunConfig) -> int:
     out = FsPath(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    bank = cfg.make_bank(cfg.grid)
+    bank = cfg.bank_spec().build(cfg.grid)
     plate = unit_plate(cfg.grid)
     files = {}
     for index in bank.indices:
@@ -177,11 +176,7 @@ def cmd_filterbank(cfg: RunConfig) -> int:
         "J": bank.J,
         "L": bank.L,
         "grid": list(cfg.grid),
-        "morlet_params": {
-            "sigma0": bank.morlet_params.sigma0,
-            "xi0": bank.morlet_params.xi0,
-            "slant": bank.morlet_params.slant,
-        },
+        "morlet_params": asdict(bank.morlet_params),
         "equalized": bank.equalized,
         "frame_defect": frame_defect(bank),
         "theorem_constant_B": theorem_constant_B(bank),
@@ -208,7 +203,7 @@ def _read_input(path: str) -> SignalGrid:
 
 def _scatter_one(cfg: RunConfig, input_path: str) -> str:
     f = _read_input(input_path)
-    bank = cfg.make_bank(f.shape)
+    bank = cfg.bank_spec().build(f.shape)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AdmissibilityWarning)
         tree = cfg.tree(f, bank, cfg.mode)
@@ -263,11 +258,8 @@ def cmd_scatter(cfg: RunConfig, inputs: list[str]) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.policy != "full":
         raise ValueError(f"verify certifies the full path set only, not policy {cfg.policy!r}")
-    vconfig = VerifyConfig(
-        seed=cfg.seed, grid=cfg.grid, J=cfg.j, L=cfg.l, bank_kind=cfg.bank_kind,
-        equalize=cfg.equalize, morlet_params=MorletParams(cfg.sigma0, cfg.xi0, cfg.slant),
-        pool=cfg.pool_config(), max_depth=cfg.depth,
-    )
+    vconfig = VerifyConfig(seed=cfg.seed, grid=cfg.grid, bank=cfg.bank_spec(),
+                           pool=cfg.pool_config(), max_depth=cfg.depth)
     trials = {
         "contraction": cfg.trials_contraction,
         "commutation": cfg.trials_commutation,
@@ -312,7 +304,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     plate = unit_plate(cfg.grid, centered=True)
     batch = [SignalGrid(plate, rng.random(cfg.grid)) for _ in range(cfg.bench_batch)]
-    bank = cfg.make_bank(cfg.grid)
+    bank = cfg.bank_spec().build(cfg.grid)
     results = {}
     for mode in modes:
         start = time.perf_counter()

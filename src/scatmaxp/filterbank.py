@@ -13,7 +13,7 @@ via ``equalize=False`` and its (large) frame defect is still measurable with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -123,6 +123,32 @@ def build_partition_bank(J: int, L: int, grid_shape: tuple[int, ...]) -> FilterB
     bank = FilterBank(J, L, grid_shape, psi, phi, params, "partition", False)
     bank._cache[grid_shape] = (psi, phi)
     return bank
+
+
+@dataclass(frozen=True)
+class BankSpec:
+    """The set-up of one bank, apart from the grid it is built on."""
+
+    J: int = 2
+    L: int = 2
+    kind: str = "morlet"  # one of BANK_KINDS
+    equalize: bool = True  # Morlet only; a partition bank is exact as built
+    morlet: MorletParams = MorletParams()
+
+    def __post_init__(self):
+        if self.kind not in BANK_KINDS:
+            raise ValueError(f"unknown bank kind {self.kind!r}")
+
+    def build(self, shape: tuple[int, ...]) -> FilterBank:
+        # through the module-level builders, which perfbench/tracing.py wraps by name
+        if self.kind == "partition":
+            return build_partition_bank(self.J, self.L, shape)
+        return build_morlet_bank(self.J, self.L, shape, self.morlet, self.equalize)
+
+    def summary(self) -> dict:
+        """Report-environment keys naming the bank; Morlet adds its resolved parameters."""
+        morlet = asdict(self.morlet.resolve(self.L)) if self.kind == "morlet" else {}
+        return dict(morlet, bank=self.kind, J=self.J, L=self.L, equalized=self.equalize)
 
 
 def _validate_bank_args(J: int, L: int, grid_shape: tuple[int, ...]) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scatmaxp.filterbank import build_morlet_bank, build_partition_bank, frame_defect
+from scatmaxp.filterbank import BankSpec, build_morlet_bank, build_partition_bank, frame_defect
 from scatmaxp.grid import SignalGrid, convolve, unit_plate
 from scatmaxp.pooling import PlatePartition, max_pool
 from scatmaxp.scattering import (
@@ -99,7 +99,7 @@ def test_criterion_4_layer_energy_monotonicity():
                 worst_ratio,
                 max((c.measured / c.bound for c in steps if c.bound > 0), default=0.0),
             )
-        fixture_config = VerifyConfig(bank_kind="partition")
+        fixture_config = VerifyConfig(bank=BankSpec(kind="partition"))
         rng = np.random.default_rng(CONFIG.seed + 4)
         for i in range(10):
             f = random_signal(rng, FAMILIES[i % 2], CONFIG.grid)

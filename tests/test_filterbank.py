@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scatmaxp.filterbank import (
+    BankSpec,
     FilterIndex,
     MorletParams,
     build_morlet_bank,
@@ -70,6 +71,11 @@ class TestBankConstruction:
             build_morlet_bank(2, 0, (16, 16))
         with pytest.raises(ValueError, match="L must be 1"):
             build_morlet_bank(2, 4, (64,))
+
+    @pytest.mark.parametrize("kind", ["Partition", "gabor", ""])
+    def test_bank_spec_rejects_an_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match=f"unknown bank kind '{kind}'"):
+            BankSpec(kind=kind)
 
     def test_rebuild_is_bit_identical(self):
         a = build_morlet_bank(2, 3, (32, 32))

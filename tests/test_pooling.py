@@ -105,6 +105,17 @@ class TestAdmissibilityThreshold:
         with pytest.raises(ValueError, match="zero"):
             min_admissible_factor(f)
 
+    @pytest.mark.parametrize("level", [1e-200, 1e200])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    def test_constant_signal_beyond_the_range_of_its_squares(self, level):
+        # the sum of squares underflows to 0 or overflows to inf; the threshold is scale-free
+        f = SignalGrid(unit_plate((4,)), np.full(4, level))
+        assert min_admissible_factor(f) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AdmissibilityWarning)
+            pooled = max_pool(f, PlatePartition(f.plate, (2,)), 2.0, "warn")
+        assert np.array_equal(pooled.values, np.full(2, level))
+
 
 class TestMaxPool:
     def test_block_pattern_example(self):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from scatmaxp.filterbank import littlewood_paley_sum
+from scatmaxp.filterbank import BankSpec, littlewood_paley_sum
 from scatmaxp.grid import SignalGrid, l2_norm, unit_plate
 from scatmaxp.pooling import PlatePartition, max_pool
-from scatmaxp import verify
+from scatmaxp import filterbank
 from scatmaxp.scattering import PoolConfig
 from scatmaxp.verify import (
     VerificationReport,
@@ -120,7 +120,7 @@ class TestEnergyMonotonicity:
         assert 0 < report.environment["eps_lp"] < 1e-12
 
     def test_partition_fixture_decreases_strictly(self):
-        config = VerifyConfig(grid=(32, 32), max_depth=2, bank_kind="partition")
+        config = VerifyConfig(grid=(32, 32), max_depth=2, bank=BankSpec(kind="partition"))
         f = random_signal(np.random.default_rng(2), "uniform", (32, 32))
         report = check_energy_monotonic(f, config)
         assert report.verdict == "pass"
@@ -135,16 +135,43 @@ class TestEnergyMonotonicity:
         assert all(c.measured == 0.0 for c in report.cases)
 
 
+MORLET_ENV = ["# env sigma0=0.8", "# env slant=2.0", "# env xi0=2.356194490192345"]
+COMMON_ENV = ["# env J=2", "# env L=2", "# env S=2.0", "# env grid=(32, 32)",
+              "# env max_depth=2", "# env seed=0"]
+
+
+@pytest.mark.parametrize("bank, expected", [
+    (BankSpec(), MORLET_ENV + ["# env bank=morlet", "# env equalized=True",
+                               "# env eps_lp=5.551115123125783e-16"]),
+    (BankSpec(equalize=False), MORLET_ENV + ["# env bank=morlet", "# env equalized=False",
+                                             "# env eps_lp=0.5403344299623344"]),
+    # a partition bank has no Morlet parameters; equalized echoes the spec
+    (BankSpec(kind="partition"), ["# env bank=partition", "# env equalized=True",
+                                  "# env eps_lp=0.0"]),
+], ids=["morlet", "raw", "partition"])
+def test_energy_report_env_lines_name_the_bank(bank, expected):
+    config = VerifyConfig(grid=(32, 32), max_depth=2, bank=bank)
+    f = random_signal(np.random.default_rng(0), "uniform", (32, 32))
+    csv = check_energy_monotonic(f, config).to_csv()
+    got = [line for line in csv.splitlines() if line.startswith("# env ")]
+    want = sorted(COMMON_ENV + expected)
+    # eps_lp is a measured frame defect: equal up to rounding, every other line to the byte
+    assert [l for l in got if "eps_lp" not in l] == [l for l in want if "eps_lp" not in l]
+    (got_eps,) = [float(l.split("=")[1]) for l in got if "eps_lp" in l]
+    (want_eps,) = [float(l.split("=")[1]) for l in want if "eps_lp" in l]
+    assert got_eps == pytest.approx(want_eps, rel=1e-9, abs=1e-15)
+
+
 @pytest.mark.parametrize("suite", ["energy", "decay"])
 @pytest.mark.parametrize("weak_grid", [False, True])
 def test_eps_lp_is_the_worst_defect_over_the_realized_grids(suite, weak_grid, monkeypatch):
-    config = VerifyConfig(equalize=False)  # raw J=2, L=2 on 64x64, depth 3: four grids
+    config = VerifyConfig(bank=BankSpec(equalize=False))  # raw J=2, L=2 on 64x64, depth 3: four grids
     shapes = [(64, 64), (32, 32), (16, 16), (8, 8)]
     banks = []
-    make_bank = VerifyConfig.make_bank
+    build = BankSpec.build
 
-    def recording(self, shape=None):
-        bank = make_bank(self, shape)
+    def recording(self, shape):
+        bank = build(self, shape)
         if weak_grid:
             # a shrunken grid whose defect exceeds the root's: phi_hat(0) = 0.5
             psi, phi = bank.realize((16, 16))
@@ -152,7 +179,7 @@ def test_eps_lp_is_the_worst_defect_over_the_realized_grids(suite, weak_grid, mo
         banks.append(bank)
         return bank
 
-    monkeypatch.setattr(VerifyConfig, "make_bank", recording)
+    monkeypatch.setattr(BankSpec, "build", recording)
     f = random_signal(np.random.default_rng(9), "uniform", config.grid)
     if suite == "energy":
         report = check_energy_monotonic(f, config)
@@ -220,8 +247,8 @@ class TestShiftEquivariance:
         def morlet_refused(*args, **kwargs):
             raise AssertionError("a Morlet bank was built for a partition config")
 
-        monkeypatch.setattr(verify, "build_morlet_bank", morlet_refused)
-        config = VerifyConfig(bank_kind="partition", equivariance_grid=(16, 16),
+        monkeypatch.setattr(filterbank, "build_morlet_bank", morlet_refused)
+        config = VerifyConfig(bank=BankSpec(kind="partition"), equivariance_grid=(16, 16),
                               equivariance_depth=1)
         report = check_shift_equivariance_plain(1, config)
         assert report.verdict == "pass"
