@@ -48,16 +48,16 @@ print(f"\npropagated samples: plain {plain_samples}, maxp {maxp_samples}")
 
 # Parameter counts of the reference 224x224 classification models (J=3, L=8,
 # depth 2, frequency-decreasing paths, dense head 512-512-256-256 -> 102),
-# counted from the trees the cascades build: plain and naivep outputs are
-# subsampled by 2^J, maxp has no output subsampling. The README's "Paper
-# parameter counts" note says which operators the differing counts would need.
+# counted from the trees the cascades build, every mode's outputs subsampled
+# by 2^J. The README's "Paper parameter counts" note says which operators the
+# differing counts would need.
 print("\nreference 224x224 models, dense-head parameters:")
 paper = {"plain": 87_592_038, "maxp": 9_944_166, "naivep": 11_596_902}
 big = SignalGrid(unit_plate((224, 224), centered=True), rng.random((224, 224)))
 big_bank = build_morlet_bank(3, 8, (224, 224))
 for mode, reported in paper.items():
     tree = compute_tree(big, big_bank, mode=mode, max_depth=2, policy="frequency_decreasing",
-                        pool_cfg=PoolConfig(2, 2.0, "off"), output_subsample=mode != "maxp")
+                        pool_cfg=PoolConfig(2, 2.0, "off"), output_subsample=True)
     counted = feature_summary(tree, n_classes=102)["dense_head_parameters"]
     verdict = "match" if counted == reported else "differs"
     print(f"  {mode:7s} counted {counted:>11,}  reported {reported:>11,}  {verdict}")

@@ -148,7 +148,8 @@ class BankSpec:
     def summary(self) -> dict:
         """Report-environment keys naming the bank; Morlet adds its resolved parameters."""
         morlet = asdict(self.morlet.resolve(self.L)) if self.kind == "morlet" else {}
-        return dict(morlet, bank=self.kind, J=self.J, L=self.L, equalized=self.equalize)
+        return dict(morlet, bank=self.kind, J=self.J, L=self.L,
+                    equalized=self.kind == "morlet" and self.equalize)
 
 
 def _validate_bank_args(J: int, L: int, grid_shape: tuple[int, ...]) -> None:

@@ -97,7 +97,12 @@ class SignalGrid:
 
 def l2_norm(f: SignalGrid) -> float:
     """Riemann approximation of the continuous L2 norm: sqrt(sum |f|^2 * cell_volume)."""
-    return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.plate.cell_volume))
+    mags = np.abs(f.values)
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.sum(mags ** 2)
+    if total in (0.0, np.inf) and 0.0 < (peak := np.max(mags)) < np.inf:  # squares out of range
+        return float(peak * np.sqrt(np.sum((mags / peak) ** 2) * f.plate.cell_volume))
+    return float(np.sqrt(total * f.plate.cell_volume))
 
 
 def linf_norm(f: SignalGrid) -> float:

@@ -62,8 +62,6 @@ class PlatePartition:
 def min_admissible_factor(f: SignalGrid) -> float:
     """Admissibility threshold (|D| * ||f||_inf / ||f||_2)^(1/d); S must exceed it."""
     norm, peak = l2_norm(f), linf_norm(f)
-    if norm in (0.0, np.inf) and 0.0 < peak < np.inf:  # squares under- or overflowed
-        norm, peak = l2_norm(f.with_values(f.values / peak)), 1.0
     if norm == 0.0:
         raise ValueError("admissibility threshold is undefined for the zero signal")
     return float((f.plate.volume * peak / norm) ** (1.0 / f.plate.dim))

@@ -14,7 +14,7 @@ from math import comb, prod
 import numpy as np
 
 from .filterbank import FilterBank, FilterIndex
-from .grid import Plate, SignalGrid, _direct_circular_convolve, convolve
+from .grid import Plate, SignalGrid, _direct_circular_convolve, convolve, l2_norm
 from .pooling import PlatePartition, _block_maxima, max_pool
 
 Path = tuple[FilterIndex, ...]
@@ -75,12 +75,10 @@ def check_policy(policy: str) -> None:
         raise ValueError(f"unknown path policy {policy!r}")
 
 
-def check_mode(mode: str, output_subsample: bool) -> None:
-    """Reject an unknown mode, and output subsampling for maxp, which has none."""
+def check_mode(mode: str) -> None:
+    """Reject a mode that is not one of :data:`MODES`."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "maxp" and output_subsample:
-        raise ValueError("output subsampling is not implemented for mode 'maxp'")
 
 
 def count_paths(J: int, L: int, m: int, policy: str = "full") -> int:
@@ -163,8 +161,6 @@ class ScatteringTree:
         return sorted(p for p in self.nodes if len(p) == depth)
 
     def layer_energy(self, depth: int) -> float:
-        from .grid import l2_norm
-
         return sum(l2_norm(self.nodes[p]) ** 2 for p in self.paths_at(depth))
 
     def total_node_samples(self) -> int:
@@ -186,9 +182,9 @@ def compute_tree(
     Modes: "plain" (wavelet-modulus only), "maxp" (pooling after every
     modulus; nodes at depth m live on the plate D/S^m), "naivep" (plain
     cascade, then one truncating 3x3/stride-3 block max on every output).
-    ``output_subsample`` keeps every 2^J-th output sample (plain, naivep).
+    ``output_subsample`` keeps every 2^J-th output sample, in every mode.
     """
-    check_mode(mode, output_subsample)
+    check_mode(mode)
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if f.shape != bank.grid_shape:

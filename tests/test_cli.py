@@ -161,13 +161,16 @@ class TestScatterCommand:
 
     def test_maxp_mode_shrinks_per_layer(self, tmp_path):
         image = write_test_pgm(tmp_path / "img.pgm")
-        out = tmp_path / "coeffs"
-        code = main(["scatter", str(image), "-J", "2", "-L", "2", "--depth", "2",
-                     "--mode", "maxp", "--out", str(out)])
-        assert code == EXIT_PASS
-        manifest = json.loads((out / "img" / "manifest.json").read_text())
-        by_depth = {len(p["path"]): p["plate"]["samples"] for p in manifest["paths"]}
-        assert by_depth == {0: [32, 32], 1: [16, 16], 2: [8, 8]}
+        # --subsample-outputs then keeps every 2^J = 4th sample of each output
+        for flags, expected in (([], {0: [32, 32], 1: [16, 16], 2: [8, 8]}),
+                                (["--subsample-outputs"], {0: [8, 8], 1: [4, 4], 2: [2, 2]})):
+            out = tmp_path / f"coeffs{len(flags)}"
+            code = main(["scatter", str(image), "-J", "2", "-L", "2", "--depth", "2",
+                         "--mode", "maxp", *flags, "--out", str(out)])
+            assert code == EXIT_PASS
+            manifest = json.loads((out / "img" / "manifest.json").read_text())
+            by_depth = {len(p["path"]): p["plate"]["samples"] for p in manifest["paths"]}
+            assert by_depth == expected, flags
 
     def test_naivep_mode_pools_outputs_three_by_three(self, tmp_path):
         image = write_test_pgm(tmp_path / "img.pgm")
@@ -219,15 +222,6 @@ class TestScatterCommand:
         assert code == EXIT_FAIL
         assert "unknown output format 'sgrid'" in capsys.readouterr().err
         assert not (out / "img").exists()
-
-    def test_maxp_output_subsampling_fails_before_reading(self, tmp_path, capsys):
-        # the input does not exist: reading it would fail with another message
-        out = tmp_path / "coeffs"
-        code = main(["scatter", str(tmp_path / "missing.pgm"), "--mode", "maxp",
-                     "--subsample-outputs", "--out", str(out)])
-        assert code == EXIT_FAIL
-        assert "output subsampling is not implemented for mode 'maxp'" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_unsupported_input_fails(self, tmp_path, capsys):
         bad = tmp_path / "img.jpeg"
@@ -426,7 +420,7 @@ class TestBenchCommand:
 
     def test_subsample_outputs_key_reaches_the_trees(self, tmp_path):
         cfg_file = tmp_path / "bench.cfg"
-        cfg_file.write_text("subsample_outputs = true\nbench_modes = plain,naivep\n")
+        cfg_file.write_text("subsample_outputs = true\nbench_modes = plain,naivep,maxp\n")
         out = tmp_path / "bench"
         code = main(["bench", "--config", str(cfg_file), "--grid", "32", "--depth", "1",
                      "--batch", "1", "--out", str(out)])
@@ -436,9 +430,10 @@ class TestBenchCommand:
         # naivep's truncating 3x3 block max leaves 2x2
         assert results["plain"]["feature_summary"]["total_features"] == 5 * 8 * 8
         assert results["naivep"]["feature_summary"]["total_features"] == 5 * 2 * 2
+        # maxp: the root's 32x32 window and four 16x16 depth-1 windows, each by 4
+        assert results["maxp"]["feature_summary"]["total_features"] == 64 + 4 * 16
 
     @pytest.mark.parametrize("modes, message", [
-        ("plain,naivep,maxp", "output subsampling is not implemented for mode 'maxp'"),
         ("plain,plian", "unknown mode 'plian'"),
     ])
     def test_bad_mode_list_fails_before_any_tree(self, tmp_path, capsys, modes, message):

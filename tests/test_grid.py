@@ -1,5 +1,7 @@
 """Plate/signal primitives: norms, translations, circular convolution, file formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -133,6 +135,14 @@ class TestNorms:
         # values [3, 4] on a length-2 plate, 2 samples: sqrt((9 + 16) * 1) = 5
         f = SignalGrid(Plate((0.0,), (2.0,), (2,)), np.array([3.0, 4.0]))
         assert l2_norm(f) == pytest.approx(5.0, rel=1e-15)
+
+    @pytest.mark.parametrize("level", [1e-200, 1e200])
+    def test_l2_beyond_the_range_of_the_squares(self, level):
+        # the squares underflow to 0 or overflow to inf; the norm does not
+        f = SignalGrid(unit_plate((4,)), np.full(4, level))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert l2_norm(f) == level
 
     def test_linf_takes_magnitudes(self):
         f = SignalGrid(unit_plate((2,)), np.array([3.0, -4.0]))

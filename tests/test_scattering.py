@@ -269,14 +269,46 @@ class TestComputeTree:
 
     def test_output_subsampling_flag(self, bank64):
         f = random_signal((64, 64), seed=8)
-        tree = compute_tree(f, bank64, "plain", 1, output_subsample=True)
-        assert tree.outputs[()].shape == (16, 16)  # 64 / 2^J
-        full = compute_tree(f, bank64, "plain", 1)
-        assert np.array_equal(tree.outputs[()].values, full.outputs[()].values[::4, ::4])
+        cfg = PoolConfig(2, 2.0, "off")
+        for mode in ("plain", "maxp"):
+            tree = compute_tree(f, bank64, mode, 1, pool_cfg=cfg, output_subsample=True)
+            assert tree.outputs[()].shape == (16, 16)  # 64 / 2^J
+            full = compute_tree(f, bank64, mode, 1, pool_cfg=cfg)
+            for p, out in full.outputs.items():
+                assert np.array_equal(tree.outputs[p].values, out.values[::4, ::4]), (mode, p)
 
-    def test_maxp_rejects_output_subsampling(self, bank32):
-        with pytest.raises(ValueError, match="not implemented for mode 'maxp'"):
-            compute_tree(random_signal((32, 32)), bank32, "maxp", 1, output_subsample=True)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data(), d=st.integers(1, 2), J=st.integers(1, 2), depth=st.integers(0, 2))
+    def test_subsampled_outputs_slice_the_full_outputs(self, data, d, J, depth):
+        # depth-m maxp nodes keep n / 2^m samples per axis, so n = k 2^(J + depth)
+        # splits every node grid into 2^J-sample steps; k >= 3 leaves naivep a 3-sample block
+        shape = data.draw(st.tuples(*[st.integers(3, 5).map(lambda k: k * 2 ** (J + depth))] * d),
+                          label="shape")
+        values = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)),
+                           label="values")
+        f = SignalGrid(unit_plate(shape, centered=True), values)
+        bank = build_morlet_bank(J, 1 if d == 1 else 2, shape)
+        cfg = PoolConfig(2, 2.0, "off")
+        sub = {mode: compute_tree(f, bank, mode, depth, pool_cfg=cfg, output_subsample=True)
+               for mode in ("plain", "maxp", "naivep")}
+        step = (slice(None, None, 2 ** J),) * d
+        for mode in ("plain", "maxp"):
+            for p, out in compute_tree(f, bank, mode, depth, pool_cfg=cfg).outputs.items():
+                got = sub[mode].outputs[p]
+                assert np.array_equal(got.values, out.values[step]), (mode, p)
+                assert got.plate.origin == out.plate.origin
+                assert got.plate.side_lengths == out.plate.side_lengths
+        for p, out in sub["plain"].outputs.items():
+            expected = strided_block_max(out, 3)
+            assert sub["naivep"].outputs[p].plate == expected.plate
+            assert np.array_equal(sub["naivep"].outputs[p].values, expected.values), p
+
+    def test_subsampling_a_node_grid_finer_than_2_to_J_fails_by_name(self):
+        # depth-3 maxp nodes of a 32x32 input keep 4 samples per axis; 2^J = 8
+        bank = build_morlet_bank(3, 1, (32, 32))
+        with pytest.raises(ValueError, match="4 samples are not divisible by subsampling factor 8"):
+            compute_tree(random_signal((32, 32)), bank, "maxp", 3,
+                         pool_cfg=PoolConfig(2, 2.0, "off"), output_subsample=True)
 
     def test_one_realization_per_node_shape(self):
         # pooling keeps the sample spacing, so the node shape alone names a realization
@@ -432,18 +464,21 @@ class TestArchitectureArithmetic:
 
     def test_paper_setting_trees_count_their_parameters(self):
         # 224x224, J=3, L=8, depth 2, frequency-decreasing paths, dense head
-        # (512, 512, 256, 256) -> 102 classes; plain and naivep outputs are
-        # subsampled by 2^J, maxp has no output subsampling
+        # (512, 512, 256, 256) -> 102 classes; every mode's outputs are
+        # subsampled by 2^J
         bank = build_morlet_bank(3, 8, (224, 224))
         f = random_signal((224, 224), seed=11)
-        params = {}
-        for mode in ("plain", "naivep", "maxp"):
+
+        def parameters(mode, output_subsample=True):
             tree = compute_tree(f, bank, mode, 2, "frequency_decreasing",
-                                PoolConfig(2, 2.0, "off"), output_subsample=mode != "maxp")
-            params[mode] = feature_summary(tree, n_classes=102)["dense_head_parameters"]
-        assert params["plain"] == 87_592_038  # the reported count
+                                PoolConfig(2, 2.0, "off"), output_subsample=output_subsample)
+            return feature_summary(tree, n_classes=102)["dense_head_parameters"]
+
+        assert parameters("plain") == 87_592_038  # the reported count
         # naivep (truncating 3x3 block max, 28 -> 9 samples per axis) and maxp
-        # (outputs at 224, 112 and 56) are pinned at what the cascades compute,
+        # (outputs at 28, 14 and 7) are pinned at what the cascades compute,
         # not at the reported 11,596,902 and 9,944,166
-        assert params["naivep"] == 9_485_926
-        assert params["maxp"] == 488_598_630
+        assert parameters("naivep") == 9_485_926
+        assert parameters("maxp") == 8_113_254
+        # unsubsampled maxp outputs stay at 224, 112 and 56
+        assert parameters("maxp", output_subsample=False) == 488_598_630

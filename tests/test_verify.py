@@ -145,8 +145,8 @@ COMMON_ENV = ["# env J=2", "# env L=2", "# env S=2.0", "# env grid=(32, 32)",
                                "# env eps_lp=5.551115123125783e-16"]),
     (BankSpec(equalize=False), MORLET_ENV + ["# env bank=morlet", "# env equalized=False",
                                              "# env eps_lp=0.5403344299623344"]),
-    # a partition bank has no Morlet parameters; equalized echoes the spec
-    (BankSpec(kind="partition"), ["# env bank=partition", "# env equalized=True",
+    # a partition bank has no Morlet parameters and is never equalized
+    (BankSpec(kind="partition"), ["# env bank=partition", "# env equalized=False",
                                   "# env eps_lp=0.0"]),
 ], ids=["morlet", "raw", "partition"])
 def test_energy_report_env_lines_name_the_bank(bank, expected):
