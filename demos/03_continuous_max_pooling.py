@@ -18,8 +18,9 @@ plate = unit_plate((64, 64), centered=True)
 partition = PlatePartition(plate, (32, 32))  # 2x2-sample sub-plates
 print("sub-plates:", partition.n_blocks, "of", partition.samples_per_block, "samples")
 
-# Admissibility: S must exceed (|D| ||f||_inf / ||f||_2)^(1/d).  Flat signals
-# clear the bar easily; sparse spikes do not.
+# Admissibility: where a sub-plate maps to more than one output cell, S must
+# exceed (|D| (||f||_inf / ||f||_2)^2)^(1/d).  Flat signals clear the bar
+# easily; sparse spikes do not.
 flat = SignalGrid(plate, rng.random((64, 64)))
 spiky_values = np.zeros((64, 64))
 spiky_values[5, 9] = 1.0
@@ -47,8 +48,13 @@ rhs = translate_with_plate(max_pool(flat, partition, 2.0, "off"), (0.125, 0.0))
 print("\ncommutation bit-exact:",
       lhs.plate == rhs.plate and np.array_equal(lhs.values, rhs.values))
 
-# Strict admissibility turns the threshold into a hard error.
+# With 2x2-sample sub-plates and S=2 each sub-plate maps to one output cell,
+# which contracts every signal, so strict mode pools even the spike.  With
+# 4x4-sample sub-plates each maps to 2x2 cells, and strict admissibility turns
+# the threshold into a hard error.
+print("\nstrict mode, 2x2-sample sub-plates: spike ratio",
+      l2_norm(max_pool(spiky, partition, 2.0, "strict")) / l2_norm(spiky))
 try:
-    max_pool(spiky, partition, 2.0, "strict")
+    max_pool(spiky, PlatePartition(plate, (16, 16)), 2.0, "strict")
 except Exception as exc:
-    print("\nstrict mode on the spike:", type(exc).__name__, "-", exc)
+    print("strict mode, 4x4-sample sub-plates:", type(exc).__name__, "-", exc)

@@ -60,11 +60,15 @@ class PlatePartition:
 
 
 def min_admissible_factor(f: SignalGrid) -> float:
-    """Admissibility threshold (|D| * ||f||_inf / ||f||_2)^(1/d); S must exceed it."""
+    """Admissibility threshold (|D| (||f||_inf / ||f||_2)^2)^(1/d); S above it keeps ||P f|| <= ||f||.
+
+    ||P f||_2^2 <= |D| ||f||_inf^2 / S^d for any partition, so S^d >= |D| ||f||_inf^2 / ||f||_2^2
+    suffices.
+    """
     norm, peak = l2_norm(f), linf_norm(f)
     if norm == 0.0:
         raise ValueError("admissibility threshold is undefined for the zero signal")
-    return float((f.plate.volume * peak / norm) ** (1.0 / f.plate.dim))
+    return float((f.plate.volume * (peak / norm) ** 2) ** (1.0 / f.plate.dim))
 
 
 def max_pool(
@@ -86,9 +90,11 @@ def max_pool(
         axis, so S must divide the sample counts and the block counts must
         divide the result.
     admissibility : str
-        "strict" raises when S does not exceed the measured admissibility
-        threshold, "warn" (default) emits :class:`AdmissibilityWarning`,
-        "off" skips the check.  Zero signals pool to zero without a check.
+        Where a sub-plate maps to more than one output cell, "strict" raises when
+        S does not exceed :func:`min_admissible_factor`, "warn" (default) emits
+        :class:`AdmissibilityWarning`, "off" skips the check.  One cell per
+        sub-plate always contracts (max^2 <= the block's sum of squares), as
+        does the zero signal, so neither is checked.
     """
     if partition.parent != f.plate:
         raise ValueError("partition was built for a different plate")
@@ -110,21 +116,20 @@ def max_pool(
                 f"choose S so blocks map to whole cells"
             )
         out_samples.append(n_out)
+    reps = tuple(n // b for n, b in zip(out_samples, partition.blocks_per_axis))
 
-    if admissibility != "off" and np.any(f.values):
+    if admissibility != "off" and max(reps) > 1 and np.any(f.values):
         threshold = min_admissible_factor(f)
         if S <= threshold:
             message = (
                 f"pooling factor S={S} is not admissible: the measured threshold "
-                f"(|D| ||f||_inf / ||f||_2)^(1/d) = {threshold:.6g} requires S > it"
+                f"(|D| (||f||_inf / ||f||_2)^2)^(1/d) = {threshold:.6g} requires S > it"
             )
             if admissibility == "strict":
                 raise AdmissibilityError(message)
             warnings.warn(message, AdmissibilityWarning, stacklevel=2)
 
-    maxima = _block_maxima(np.abs(f.values), partition.blocks_per_axis)
-    reps = tuple(n // b for n, b in zip(out_samples, partition.blocks_per_axis))
-    values = np.kron(maxima, np.ones(reps))
+    values = np.kron(_block_maxima(np.abs(f.values), partition.blocks_per_axis), np.ones(reps))
     out_plate = Plate(
         tuple(o / S for o in f.plate.origin),
         tuple(s / S for s in f.plate.side_lengths),

@@ -181,6 +181,22 @@ class TestScatterCommand:
         manifest = json.loads((out / "img" / "manifest.json").read_text())
         assert all(p["plate"]["samples"] == [10, 10] for p in manifest["paths"])
 
+    def test_admissibility_flags_count_only_multi_cell_pooling(self, tmp_path):
+        # 64x64, J=2, L=2, depth 2: 20 pooled nodes.  2-sample blocks at S = 2 are never
+        # checked; 4-sample blocks are, and a bright pixel or noise fails every check
+        spike = np.zeros((64, 64), dtype=np.uint8)
+        spike[20, 37] = 255
+        spike_image = tmp_path / "spike.pgm"
+        spike_image.write_bytes(b"P5\n64 64\n255\n" + spike.tobytes())
+        noise_image = write_test_pgm(tmp_path / "noise.pgm", size=64, seed=3)
+        for image, flags, expected in ((spike_image, [], 0), (spike_image, ["--pool-blocks", "4"], 20),
+                                       (noise_image, [], 0), (noise_image, ["--pool-blocks", "4"], 20)):
+            out = tmp_path / f"{image.stem}{len(flags)}"
+            assert main(["scatter", str(image), "-J", "2", "-L", "2", "--depth", "2",
+                         "--mode", "maxp", *flags, "--out", str(out)]) == EXIT_PASS
+            manifest = json.loads((out / image.stem / "manifest.json").read_text())
+            assert manifest["admissibility_flags"] == expected, (image.stem, flags)
+
     def test_csv_export(self, tmp_path):
         image = write_test_pgm(tmp_path / "img.pgm")
         out = tmp_path / "coeffs"
@@ -253,18 +269,20 @@ class TestVerifyCommand:
             assert (out_a / f"{name}.csv").read_bytes() == (out_b / f"{name}.csv").read_bytes()
 
     def test_inadmissible_pooling_factor_is_inconclusive(self, tmp_path, capsys):
-        out = tmp_path / "verify"
-        code = main(["verify", "--suites", "contraction", "--grid", "32",
-                     "--pool-factor", "1.000001", "--trials-contraction", "10",
-                     "--out", str(out)])
-        assert code == EXIT_INCONCLUSIVE
+        argv = ["verify", "--suites", "contraction", "--grid", "32",
+                "--trials-contraction", "10", "--out", str(tmp_path / "verify")]
+        assert main([*argv, "--pool-factor", "1"]) == EXIT_INCONCLUSIVE
         assert "INCONCLUSIVE" in capsys.readouterr().out
+        # a factor that does not fit the grid is a named precondition failure
+        assert main([*argv, "--pool-factor", "1.000001"]) == EXIT_FAIL
+        assert "does not divide 32 samples evenly" in capsys.readouterr().out
 
     def test_strict_pooling_failure_names_the_precondition(self, tmp_path, capsys):
-        # spike inputs violate strict admissibility inside the energy cascade
+        # with 4-sample blocks at S = 2 spike inputs violate strict admissibility
         out = tmp_path / "verify"
         code = main(["verify", "--suites", "energy", "--grid", "32", "--depth", "2",
-                     "--energy-inputs", "2", "--strict-pooling", "--out", str(out)])
+                     "--energy-inputs", "2", "--pool-blocks", "4", "--strict-pooling",
+                     "--out", str(out)])
         assert code == EXIT_FAIL
         assert "threshold" in capsys.readouterr().out
 

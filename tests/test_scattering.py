@@ -1,11 +1,14 @@
 """Path enumeration, the three cascades, and the architecture arithmetic."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scatmaxp import pooling
 from scatmaxp.filterbank import (
     FilterIndex,
     build_morlet_bank,
@@ -161,6 +164,23 @@ class TestComputeTree:
             node = tree.nodes[tree.paths_at(m)[0]]
             assert node.shape == (64 // 2 ** m, 64 // 2 ** m)
             assert node.plate.side_lengths == (1.0 / 2 ** m, 1.0 / 2 ** m)
+
+    def test_default_pooling_computes_no_admissibility_threshold(self, bank64, monkeypatch):
+        # 2-sample blocks with S = 2 give one output cell per sub-plate, which always
+        # contracts; 4-sample blocks give two, so each of the 84 pooled nodes is checked
+        calls = []
+        threshold = pooling.min_admissible_factor
+        monkeypatch.setattr(pooling, "min_admissible_factor",
+                            lambda f: calls.append(f) or threshold(f))
+        f = random_signal((64, 64), seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", pooling.AdmissibilityWarning)
+            compute_tree(f, bank64, "maxp", 3)
+        assert calls == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", pooling.AdmissibilityWarning)
+            compute_tree(f, bank64, "maxp", 3, pool_cfg=PoolConfig(4, 2.0, "warn"))
+        assert len(calls) == 84
 
     def test_maxp_sample_counts_shrink_by_S_to_2m(self, bank64):
         f = random_signal((64, 64), seed=4)

@@ -1,5 +1,7 @@
 """Certification suites: contraction, commutation, energy, decay, equivariance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from scatmaxp.pooling import PlatePartition, max_pool
 from scatmaxp import filterbank
 from scatmaxp.scattering import PoolConfig
 from scatmaxp.verify import (
+    EXACT_RTOL,
     VerificationReport,
     VerifyConfig,
     check_commutation,
@@ -68,7 +71,16 @@ class TestContraction:
         report = check_contraction(200, SMALL)
         assert report.verdict == "pass"
         assert report.n_fail == 0
+        assert report.n_skip == 0  # one output cell per 2-sample sub-plate: nothing to screen
         assert all(c.measured <= c.bound for c in report.cases if c.status == "pass")
+
+    def test_multi_cell_sub_plates_screen_the_spike_draws(self):
+        # 4-sample blocks with S = 2 give two output cells per sub-plate, so max_pool
+        # checks S against the squared sup-norm threshold, which every spike draw exceeds
+        report = check_contraction(40, VerifyConfig(grid=(32, 32), pool=PoolConfig(4, 2.0)))
+        skipped = [c for c in report.cases if c.status == "skip"]
+        assert report.verdict == "pass" and len(skipped) == 20
+        assert all(c.summary == "spikes:no-admissible-S" and c.measured >= 2.0 for c in skipped)
 
     def test_constant_signal_ratio_is_S_to_minus_d_over_2(self):
         # ||P(c)||_2 / ||c||_2 = S^(-d/2): plate volume shrinks by S^d, values equal
@@ -77,8 +89,8 @@ class TestContraction:
         assert l2_norm(pooled) / l2_norm(f) == pytest.approx(0.5, rel=1e-12)
 
     def test_spike_signal_still_contracts_under_standard_pooling(self):
-        # sparse spikes fail the admissibility screen at S=2 but the discrete
-        # contraction holds regardless for one output sample per block; the
+        # one output sample per 2x2-sample block contracts every signal, sparse
+        # spikes included, so max_pool runs no admissibility check here; the
         # ratio drops strictly below 1 once a block holds two nonzero samples
         values = np.zeros((16, 16))
         values[2, 4] = 0.4
@@ -91,7 +103,9 @@ class TestContraction:
         assert l2_norm(lone_pooled) <= l2_norm(lone) * (1 + 1e-12)
 
     def test_inadmissible_draws_are_skipped_not_failed(self):
-        config = VerifyConfig(grid=(32, 32), pool=PoolConfig(2, 1.01))
+        # S = 1 leaves two output cells per 2-sample sub-plate, and the threshold
+        # S must exceed is never below 1
+        config = VerifyConfig(grid=(32, 32), pool=PoolConfig(2, 1.0))
         report = check_contraction(40, config)
         assert report.verdict == "inconclusive"
         assert report.n_skip == 40 and report.n_fail == 0
@@ -105,7 +119,15 @@ class TestCommutation:
     def test_bit_exact_over_random_shifts(self):
         report = check_commutation(60, SMALL)
         assert report.verdict == "pass"
-        assert all(c.measured == 0.0 for c in report.cases)
+        assert all(c.measured == 0.0 and c.bound == 0.0 for c in report.cases)
+
+    def test_origins_at_S_3_match_within_a_bound(self):
+        # (o + c)/3 and o/3 + c/3 can differ in the last bit; the values stay bit-exact
+        config = VerifyConfig(grid=(36, 36), pool=PoolConfig(3, 3.0))
+        report = check_commutation(20, config)
+        assert report.verdict == "pass"
+        assert all(c.bound == EXACT_RTOL and c.measured <= c.bound for c in report.cases)
+        assert any(c.measured > 0.0 for c in report.cases)
 
     def test_first_case_is_the_zero_shift(self):
         report = check_commutation(1, SMALL)
@@ -113,6 +135,17 @@ class TestCommutation:
 
 
 class TestEnergyMonotonicity:
+    def test_flags_only_sub_plates_that_cover_several_cells(self):
+        # a spike pooled from 4-sample blocks at S = 2 is flagged at all 20 pooled nodes,
+        # and its layer energies do grow; 2-sample blocks contract it unflagged
+        f = random_signal(np.random.default_rng(1), "spikes", (32, 32))
+        report = check_energy_monotonic(f, SMALL)
+        assert report.notes[-1] == "admissibility flags recorded: 0"
+        assert report.verdict == "pass"
+        report = check_energy_monotonic(f, replace(SMALL, pool=PoolConfig(4, 2.0)))
+        assert report.notes[-1] == "admissibility flags recorded: 20"
+        assert report.verdict == "fail"
+
     def test_morlet_bank_with_measured_slack(self):
         f = random_signal(np.random.default_rng(1), "uniform", (32, 32))
         report = check_energy_monotonic(f, SMALL)
