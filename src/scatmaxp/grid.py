@@ -229,7 +229,8 @@ def write_sgrid(f: SignalGrid, path) -> None:
 
 def read_sgrid(path) -> SignalGrid:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        # a non-ASCII byte (a binary file, say) cannot spell the magic word
+        header = fh.readline().decode("ascii", errors="replace").split()
         if not header or header[0] != "SGRID":
             raise ValueError(f"{path}: not an SGRID file")
         try:

@@ -129,7 +129,9 @@ def max_pool(
                 raise AdmissibilityError(message)
             warnings.warn(message, AdmissibilityWarning, stacklevel=2)
 
-    values = np.kron(_block_maxima(np.abs(f.values), partition.blocks_per_axis), np.ones(reps))
+    values = _block_maxima(np.abs(f.values), partition.blocks_per_axis)
+    if max(reps) > 1:  # each sub-plate covers several output cells
+        values = np.kron(values, np.ones(reps))
     out_plate = Plate(
         tuple(o / S for o in f.plate.origin),
         tuple(s / S for s in f.plate.side_lengths),
@@ -139,8 +141,21 @@ def max_pool(
 
 
 def _block_maxima(magnitudes: np.ndarray, blocks_per_axis: tuple[int, ...]) -> np.ndarray:
-    shape = []
-    for n, b in zip(magnitudes.shape, blocks_per_axis):
-        shape.extend((b, n // b))
-    reduced = magnitudes.reshape(shape)
-    return reduced.max(axis=tuple(range(1, 2 * len(blocks_per_axis), 2)))
+    """Per-block maxima, one axis at a time: the elementwise maximum of k strided slices.
+
+    Along an axis with k samples per block, block i holds sample i of each
+    slice x[o::k], o = 0..k-1; axes with k = 1 are left as they are.  A maximum
+    rounds nothing and ``np.maximum`` propagates NaN, so any reduction order
+    gives the same bits.
+    """
+    out = magnitudes
+    for axis, (n, b) in enumerate(zip(magnitudes.shape, blocks_per_axis)):
+        k = n // b
+        if k == 1:
+            continue
+        lead = (slice(None),) * axis
+        reduced = np.maximum(out[lead + (slice(0, None, k),)], out[lead + (slice(1, None, k),)])
+        for o in range(2, k):
+            np.maximum(reduced, out[lead + (slice(o, None, k),)], out=reduced)
+        out = reduced
+    return out

@@ -38,10 +38,14 @@ class PoolConfig:
     factor: float = 2.0
     admissibility: str = "warn"
 
+    def __post_init__(self):
+        if self.block_samples < 1:
+            raise ValueError(f"block_samples must be >= 1, got {self.block_samples}")
+
     def blocks_for(self, shape: tuple[int, ...]) -> tuple[int, ...]:
         b = self.block_samples
         for n in shape:
-            if b < 1 or n % b != 0:
+            if n % b != 0:
                 raise ValueError(f"{n} samples do not split into blocks of {b}")
         return tuple(n // b for n in shape)
 

@@ -197,6 +197,14 @@ class TestScatterCommand:
             manifest = json.loads((out / image.stem / "manifest.json").read_text())
             assert manifest["admissibility_flags"] == expected, (image.stem, flags)
 
+    def test_non_positive_block_samples_fails_before_propagating(self, tmp_path, capsys):
+        image = write_test_pgm(tmp_path / "img.pgm")
+        out = tmp_path / "coeffs"
+        assert main(["scatter", str(image), "--mode", "maxp", "--pool-blocks", "0",
+                     "--out", str(out)]) == EXIT_FAIL
+        assert "block_samples must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_export(self, tmp_path):
         image = write_test_pgm(tmp_path / "img.pgm")
         out = tmp_path / "coeffs"

@@ -336,6 +336,11 @@ class TestFileFormats:
         bad.write_bytes(b"SOUP 2 0 0 1 1 4 4\n")
         with pytest.raises(ValueError, match="not an SGRID"):
             read_sgrid(bad)
+        # a binary file, here a PNG signature, fails with the same named error
+        binary = tmp_path / "picture.sgrid"
+        binary.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(range(256)))
+        with pytest.raises(ValueError, match="picture.sgrid: not an SGRID file"):
+            read_sgrid(binary)
         truncated = tmp_path / "short.sgrid"
         truncated.write_bytes(b"SGRID 1 0.0 1.0 4\n" + b"\x00" * 8)
         with pytest.raises(ValueError, match="truncated"):

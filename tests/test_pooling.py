@@ -16,6 +16,7 @@ from scatmaxp.pooling import (
     max_pool,
     min_admissible_factor,
 )
+from scatmaxp.scattering import strided_block_max
 
 
 def nested_loop_block_max(values, blocks_per_axis, out_samples):
@@ -50,6 +51,34 @@ def nested_loop_block_max(values, blocks_per_axis, out_samples):
                         best = mags[y0, y1]
             out[i0 * rep0:(i0 + 1) * rep0, i1 * rep1:(i1 + 1) * rep1] = best
     return out
+
+
+@st.composite
+def pooling_set_ups(draw, one_cell_per_sub_plate=False):
+    """A 1-D or 2-D signal on the centered unit plate with a partition and a pooling factor S.
+
+    Every sub-plate holds S * m samples per axis, so its image covers m whole
+    output cells per axis; ``one_cell_per_sub_plate`` fixes m = 1.
+    """
+    d = draw(st.integers(1, 2), label="d")
+    S = draw(st.integers(1, 4), label="S")
+    blocks = draw(st.tuples(*[st.integers(1, 4)] * d), label="blocks")
+    cells = (1,) * d if one_cell_per_sub_plate else draw(st.tuples(*[st.integers(1, 3)] * d),
+                                                         label="cells")
+    shape = tuple(b * S * m for b, m in zip(blocks, cells))
+    values = draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)), label="values")
+    offset = draw(st.floats(0.0, 2.0), label="offset")
+    f = SignalGrid(unit_plate(shape, centered=True), values + offset)
+    assume(l2_norm(f) > 0.0)  # the zero signal has no admissibility threshold
+    return f, PlatePartition(f.plate, blocks), float(S)
+
+
+def complex_set_up():
+    """A fixed complex signal whose 4x4-sample sub-plates each cover 2x2 output cells at S = 2."""
+    rng = np.random.default_rng(1)
+    plate = unit_plate((12, 8), centered=True)
+    values = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
+    return SignalGrid(plate, values), PlatePartition(plate, (3, 2)), 2.0
 
 
 class TestPartition:
@@ -130,18 +159,36 @@ class TestMaxPool:
         assert np.all(pooled.values == 0.75)
         assert pooled.plate.side_lengths == (0.5, 0.5)
 
-    def test_matches_nested_loop_oracle_bit_exactly(self):
-        rng = np.random.default_rng(1)
-        cases = [((16,), (4,), 2.0), ((16,), (8,), 2.0), ((12, 8), (3, 2), 2.0),
-                 ((8, 8), (2, 2), 2.0), ((16, 16), (4, 4), 4.0)]
-        for _ in range(20):
-            for shape, blocks, S in cases:
-                f = SignalGrid(unit_plate(shape), rng.random(shape))
-                pooled = max_pool(f, PlatePartition(f.plate, blocks), S, "off")
-                oracle = nested_loop_block_max(f.values, blocks, pooled.shape)
-                assert np.array_equal(pooled.values.real, oracle)
-                assert pooled.values.dtype == np.float64
-                assert np.all(pooled.values.imag == 0)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(set_up=pooling_set_ups())
+    @example(set_up=complex_set_up())
+    def test_matches_nested_loop_oracle_bit_exactly(self, set_up):
+        f, part, S = set_up
+        pooled = max_pool(f, part, S, "off")
+        oracle = nested_loop_block_max(f.values, part.blocks_per_axis, pooled.shape)
+        assert pooled.values.dtype == np.float64
+        assert np.array_equal(pooled.values, oracle)
+
+    def test_nan_propagates_to_every_cell_of_its_sub_plate(self):
+        values = np.random.default_rng(6).random((8, 12))
+        values[1, 2] = values[6, 11] = np.nan  # neither is the first sample of its block
+        f = SignalGrid(unit_plate((8, 12)), values)
+        part = PlatePartition(f.plate, (2, 3))  # 4x4-sample blocks, 2x2 output cells each
+        pooled = max_pool(f, part, 2.0, "off")
+        expected = nested_loop_block_max(np.nan_to_num(values, nan=0.0), (2, 3), pooled.shape)
+        has_nan = nested_loop_block_max(np.isnan(values) * 1.0, (2, 3), pooled.shape) == 1.0
+        assert has_nan.sum() == 8
+        expected[has_nan] = np.nan
+        assert np.array_equal(pooled.values, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (65, 62), (64,), (65,)])
+    @pytest.mark.parametrize("block", [2, 3, 4])
+    def test_strided_block_max_matches_the_oracle_on_the_kept_samples(self, shape, block):
+        values = np.random.default_rng(7).standard_normal(shape)
+        pooled = strided_block_max(SignalGrid(unit_plate(shape), values), block)
+        n_out = tuple(n // block for n in shape)
+        kept = values[tuple(slice(0, n * block) for n in n_out)]
+        assert np.array_equal(pooled.values, nested_loop_block_max(kept, n_out, n_out))
 
     def test_output_is_piecewise_constant_per_sub_plate(self):
         rng = np.random.default_rng(2)
@@ -219,26 +266,6 @@ class TestMaxPool:
             max_pool(f, part, 3.0, "off")
         with pytest.raises(ValueError, match="whole cells"):
             max_pool(f, PlatePartition(f.plate, (8, 8)), 4.0, "off")
-
-
-@st.composite
-def pooling_set_ups(draw, one_cell_per_sub_plate=False):
-    """A 1-D or 2-D signal on the centered unit plate with a partition and a pooling factor S.
-
-    Every sub-plate holds S * m samples per axis, so its image covers m whole
-    output cells per axis; ``one_cell_per_sub_plate`` fixes m = 1.
-    """
-    d = draw(st.integers(1, 2), label="d")
-    S = draw(st.integers(1, 4), label="S")
-    blocks = draw(st.tuples(*[st.integers(1, 4)] * d), label="blocks")
-    cells = (1,) * d if one_cell_per_sub_plate else draw(st.tuples(*[st.integers(1, 3)] * d),
-                                                         label="cells")
-    shape = tuple(b * S * m for b, m in zip(blocks, cells))
-    values = draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)), label="values")
-    offset = draw(st.floats(0.0, 2.0), label="offset")
-    f = SignalGrid(unit_plate(shape, centered=True), values + offset)
-    assume(l2_norm(f) > 0.0)  # the zero signal has no admissibility threshold
-    return f, PlatePartition(f.plate, blocks), float(S)
 
 
 class TestMaxPoolProperties:
