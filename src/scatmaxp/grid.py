@@ -70,7 +70,9 @@ class SignalGrid:
 
     ``values`` is always a read-only copy of the input: float64 when the input
     is real (bool, integer or floating), complex128 when it is complex, even
-    with an imaginary part of all zeros.
+    with an imaginary part of all zeros.  The package's own operators hand
+    over arrays they have just made through :meth:`_adopt`, which keeps the
+    array itself (read-only) instead of copying it.
     """
 
     plate: Plate
@@ -78,7 +80,23 @@ class SignalGrid:
 
     def __post_init__(self):
         dtype = np.float64 if np.isrealobj(self.values) else np.complex128
-        v = np.array(self.values, dtype=dtype, copy=True)
+        self._seal(np.array(self.values, dtype=dtype, copy=True))
+
+    @classmethod
+    def _adopt(cls, plate: Plate, values: np.ndarray) -> "SignalGrid":
+        """Take ownership of a fresh float64 or complex128 array without copying it.
+
+        The array is made read-only in place, so the caller must hold no other
+        writable reference to it (or to the buffer it views).
+        """
+        if values.dtype not in (np.float64, np.complex128):
+            raise TypeError(f"cannot adopt a {values.dtype} array; expected float64 or complex128")
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "plate", plate)
+        grid._seal(values)
+        return grid
+
+    def _seal(self, v: np.ndarray) -> None:
         if v.shape != self.plate.samples_per_axis:
             raise ValueError(
                 f"values shape {v.shape} does not match plate samples "

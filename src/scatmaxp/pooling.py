@@ -137,7 +137,7 @@ def max_pool(
         tuple(s / S for s in f.plate.side_lengths),
         tuple(out_samples),
     )
-    return SignalGrid(out_plate, values)
+    return SignalGrid._adopt(out_plate, values)
 
 
 def _block_maxima(magnitudes: np.ndarray, blocks_per_axis: tuple[int, ...]) -> np.ndarray:

@@ -113,7 +113,7 @@ def propagate_one(
         values = np.fft.ifftn(work, out=work)
     else:
         values = convolve(f, psi[index], method=method).values
-    return f.with_values(np.abs(values))
+    return SignalGrid._adopt(f.plate, np.abs(values))
 
 
 def propagate_pooled(
@@ -130,7 +130,7 @@ def propagate_pooled(
     return max_pool(u, partition, pool_cfg.factor, pool_cfg.admissibility)
 
 
-def window(f: SignalGrid, bank: FilterBank, method: str = "fft") -> SignalGrid:
+def window(f: SignalGrid, bank: FilterBank, method: str = "fft", step: int = 1) -> SignalGrid:
     """Low-pass filtering with phi realized on f's grid at matching physical scale.
 
     phi_hat is real and symmetric under w -> -w, so a float64 input, or a
@@ -138,17 +138,44 @@ def window(f: SignalGrid, bank: FilterBank, method: str = "fft") -> SignalGrid:
     as float64.  The fft method takes its half spectrum (rfftn/irfftn); the
     direct method sums against the real part of phi's spatial kernel, whose
     imaginary part is rounding.
+
+    ``step`` keeps every step-th output sample per axis, as
+    :func:`subsample_signal` does.  A real window under the fft method folds
+    its spectrum onto the coarse lattice instead of inverting it in full
+    (:func:`_folded_irfftn`), which agrees with the sliced full window to
+    rounding; every other window is computed in full and then subsampled.
     """
+    plate = f.plate if step == 1 else _subsampled_plate(f.plate, step)
     _, phi = bank.realize(f.shape)
     real = np.isrealobj(f.values) or not f.values.imag.any()
     if method == "fft" and real:
-        axes = tuple(range(f.plate.dim))
-        spectrum = np.fft.rfftn(f.values.real, axes=axes)
+        spectrum = np.fft.rfftn(f.values.real, axes=tuple(range(f.plate.dim)))
         spectrum *= phi[..., :spectrum.shape[-1]]
-        return f.with_values(np.fft.irfftn(spectrum, s=f.shape, axes=axes))
+        return SignalGrid._adopt(plate, _folded_irfftn(spectrum, f.shape, step))
     if method == "direct" and real:
-        return f.with_values(_direct_circular_convolve(f.values.real, np.fft.ifftn(phi).real))
-    return convolve(f, phi, method=method)
+        out = f.with_values(_direct_circular_convolve(f.values.real, np.fft.ifftn(phi).real))
+    else:
+        out = convolve(f, phi, method=method)
+    return out if step == 1 else subsample_signal(out, step)
+
+
+def _folded_irfftn(spectrum: np.ndarray, shape: tuple[int, ...], step: int) -> np.ndarray:
+    """``irfftn(spectrum, s=shape)`` at every step-th sample per axis, as a fresh array.
+
+    Every step-th sample of an inverse DFT of length n is the inverse DFT, at
+    length n/step, of the spectrum summed over its step aliases k, k + n/step,
+    ... and divided by step.  Every axis but the last is folded so before its
+    ifft; the last, a half spectrum, is inverted at full length and sliced.
+    At step 1 no axis is folded and this is numpy's own ifft-then-irfft
+    sequence, bit for bit.
+    """
+    for axis, n in enumerate(shape[:-1]):
+        if step > 1:
+            aliases = spectrum.shape[:axis] + (step, n // step) + spectrum.shape[axis + 1:]
+            spectrum = spectrum.reshape(aliases).sum(axis=axis)
+            spectrum /= step
+        spectrum = np.fft.ifft(spectrum, axis=axis)
+    return np.ascontiguousarray(np.fft.irfft(spectrum, shape[-1], axis=-1)[..., ::step])
 
 
 @dataclass(frozen=True)
@@ -186,7 +213,8 @@ def compute_tree(
     Modes: "plain" (wavelet-modulus only), "maxp" (pooling after every
     modulus; nodes at depth m live on the plate D/S^m), "naivep" (plain
     cascade, then one truncating 3x3/stride-3 block max on every output).
-    ``output_subsample`` keeps every 2^J-th output sample, in every mode.
+    ``output_subsample`` keeps every 2^J-th output sample, in every mode; the
+    windows of real nodes are folded onto that lattice (see :func:`window`).
     """
     check_mode(mode)
     if max_depth < 0:
@@ -198,16 +226,18 @@ def compute_tree(
 
     # depth 0 is the root alone; enumerating it also rejects an unknown policy
     nodes: dict[Path, SignalGrid] = dict.fromkeys(enumerate_paths(bank, 0, policy), f)
+    spectra: dict[tuple[int, ...], np.ndarray] = {}  # one parent-spectrum buffer per shape
     for depth in range(1, max_depth + 1):
         parent, f_hat = None, None
         for path in enumerate_paths(bank, depth, policy):
             g = nodes[path[:-1]]
-            # siblings are contiguous, so each parent is transformed once and
-            # only one spectrum is alive at a time
+            # siblings are contiguous, so each parent is transformed once, into
+            # its shape's buffer, which no earlier parent still needs
             if path[:-1] != parent:
                 parent, f_hat = path[:-1], None
                 if conv_method == "fft":
-                    f_hat = np.fft.fftn(g.values)
+                    f_hat = np.fft.fftn(g.values, out=spectra.get(g.shape))
+                    spectra[g.shape] = f_hat
             if mode == "maxp":
                 try:
                     nodes[path] = propagate_pooled(
@@ -218,11 +248,12 @@ def compute_tree(
             else:
                 nodes[path] = propagate_one(g, path[-1], bank, conv_method, f_hat)
 
+    # one window call per node, in node order: perfbench's tracer assigns
+    # window depths by call order
+    step = 2 ** bank.J if output_subsample else 1
     outputs: dict[Path, SignalGrid] = {}
     for path, g in nodes.items():
-        out = window(g, bank, conv_method)
-        if output_subsample:
-            out = subsample_signal(out, 2 ** bank.J)
+        out = window(g, bank, conv_method, step)
         if mode == "naivep":
             out = strided_block_max(out, 3)
         outputs[path] = out
@@ -231,16 +262,17 @@ def compute_tree(
 
 def subsample_signal(f: SignalGrid, factor: int) -> SignalGrid:
     """Keep every factor-th sample per axis (plate extent unchanged)."""
-    for n in f.plate.samples_per_axis:
+    plate = _subsampled_plate(f.plate, factor)
+    return SignalGrid(plate, f.values[(slice(None, None, factor),) * f.plate.dim])
+
+
+def _subsampled_plate(plate: Plate, factor: int) -> Plate:
+    """The plate of every factor-th sample: same extent, n / factor samples per axis."""
+    for n in plate.samples_per_axis:
         if n % factor != 0:
             raise ValueError(f"{n} samples are not divisible by subsampling factor {factor}")
-    sel = tuple(slice(None, None, factor) for _ in range(f.plate.dim))
-    plate = Plate(
-        f.plate.origin,
-        f.plate.side_lengths,
-        tuple(n // factor for n in f.plate.samples_per_axis),
-    )
-    return SignalGrid(plate, f.values[sel])
+    return Plate(plate.origin, plate.side_lengths,
+                 tuple(n // factor for n in plate.samples_per_axis))
 
 
 def strided_block_max(f: SignalGrid, block: int) -> SignalGrid:
@@ -263,7 +295,7 @@ def strided_block_max(f: SignalGrid, block: int) -> SignalGrid:
         tuple(s / block for s in kept),
         n_out,
     )
-    return SignalGrid(plate, maxima)
+    return SignalGrid._adopt(plate, maxima)
 
 
 # ---------------------------------------------------------------------------

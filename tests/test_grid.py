@@ -104,11 +104,27 @@ class TestSignalStorage:
     def test_values_are_a_read_only_copy(self, dtype):
         source = np.arange(4).astype(dtype)
         f = SignalGrid(unit_plate((4,)), source)
-        assert not np.shares_memory(f.values, source)
-        assert not f.values.flags.writeable
+        g = SignalGrid(unit_plate((4,)), np.ones(4)).with_values(source)
+        for h in (f, g):
+            assert not np.shares_memory(h.values, source)
+            assert not h.values.flags.writeable
         source[0] = 9
-        assert f.values[0] == 0
+        assert f.values[0] == 0 and g.values[0] == 0
         assert source.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_adopting_takes_the_array_itself_and_seals_it(self, dtype):
+        source = np.arange(6).astype(dtype).reshape(2, 3)
+        f = SignalGrid._adopt(unit_plate((2, 3)), source)
+        assert f.values is source
+        assert not source.flags.writeable
+        assert f.shape == (2, 3) and f.plate == unit_plate((2, 3))
+
+    def test_adopting_checks_shape_and_dtype(self):
+        with pytest.raises(ValueError, match="does not match plate samples"):
+            SignalGrid._adopt(unit_plate((4, 4)), np.zeros((4, 2)))
+        with pytest.raises(TypeError, match="float32"):
+            SignalGrid._adopt(unit_plate((4,)), np.zeros(4, np.float32))
 
     def test_direct_convolution_of_real_values_equals_their_complex_cast(self):
         rng = np.random.default_rng(12)

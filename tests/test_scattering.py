@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scatmaxp import pooling
+from scatmaxp import pooling, scattering
 from scatmaxp.filterbank import (
     FilterIndex,
     build_morlet_bank,
@@ -30,6 +30,7 @@ from scatmaxp.scattering import (
     subsample_signal,
     window,
 )
+from scatmaxp.verify import EXACT_RTOL
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,20 @@ def bank64():
 @pytest.fixture(scope="module")
 def bank32():
     return build_morlet_bank(2, 2, (32, 32))
+
+
+def is_sliced(got, full, step):
+    """Whether a subsampled output equals the sliced full output to rounding.
+
+    Folded windows alias the spectrum before the inverse transform, so they
+    agree with the sliced full window to within EXACT_RTOL of its peak, not
+    bit for bit.  Below the smallest normal float64 rounding is absolute, not
+    relative (a lone 1e-310 sample in a 48x40 grid at J = 3 misses the
+    relative bound by one subnormal step), hence the ``tiny`` floor.
+    """
+    gap = np.max(np.abs(got.values - full.values[step]))
+    bound = EXACT_RTOL * np.max(np.abs(full.values)) + np.finfo(np.float64).tiny
+    return got.values.dtype == full.values.dtype and gap <= bound
 
 
 def random_signal(shape, seed=0, centered=True):
@@ -295,7 +310,7 @@ class TestComputeTree:
             assert tree.outputs[()].shape == (16, 16)  # 64 / 2^J
             full = compute_tree(f, bank64, mode, 1, pool_cfg=cfg)
             for p, out in full.outputs.items():
-                assert np.array_equal(tree.outputs[p].values, out.values[::4, ::4]), (mode, p)
+                assert is_sliced(tree.outputs[p], out, (slice(None, None, 4),) * 2), (mode, p)
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(data=st.data(), d=st.integers(1, 2), J=st.integers(1, 2), depth=st.integers(0, 2))
@@ -313,11 +328,14 @@ class TestComputeTree:
                for mode in ("plain", "maxp", "naivep")}
         step = (slice(None, None, 2 ** J),) * d
         for mode in ("plain", "maxp"):
-            for p, out in compute_tree(f, bank, mode, depth, pool_cfg=cfg).outputs.items():
+            full = compute_tree(f, bank, mode, depth, pool_cfg=cfg)
+            for p, out in full.outputs.items():
                 got = sub[mode].outputs[p]
-                assert np.array_equal(got.values, out.values[step]), (mode, p)
+                assert is_sliced(got, out, step), (mode, p)
                 assert got.plate.origin == out.plate.origin
                 assert got.plate.side_lengths == out.plate.side_lengths
+                # subsampling touches only the windows, never the propagation
+                assert np.array_equal(sub[mode].nodes[p].values, full.nodes[p].values), (mode, p)
         for p, out in sub["plain"].outputs.items():
             expected = strided_block_max(out, 3)
             assert sub["naivep"].outputs[p].plate == expected.plate
@@ -414,7 +432,77 @@ class TestSpectralEngine:
     def test_window_of_complex_input_is_the_full_convolution(self, bank32):
         rng = np.random.default_rng(17)
         f = SignalGrid(unit_plate((32, 32)), rng.random((32, 32)) + 1j * rng.random((32, 32)))
-        assert np.array_equal(window(f, bank32).values, convolve(f, bank32.phi_hat).values)
+        full = convolve(f, bank32.phi_hat)
+        assert np.array_equal(window(f, bank32).values, full.values)
+        # a complex window is computed in full and then subsampled, not folded
+        sub = window(f, bank32, step=4)
+        assert sub.plate == subsample_signal(full, 4).plate
+        assert np.array_equal(sub.values, full.values[::4, ::4])
+
+    def test_direct_window_is_subsampled_after_the_full_window(self, bank32):
+        f = random_signal((32, 32), seed=20)
+        full = window(f, bank32, "direct")
+        sub = window(f, bank32, "direct", 4)
+        assert sub.plate == subsample_signal(full, 4).plate
+        assert np.array_equal(sub.values, full.values[::4, ::4])
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(data=st.data(), d=st.integers(1, 2))
+    def test_unfolded_window_is_numpys_irfftn(self, data, d):
+        shape = data.draw(st.tuples(*[st.integers(4, 40)] * d), label="shape")
+        values = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)),
+                           label="values")
+        bank = build_morlet_bank(2, 1 if d == 1 else 2, (64,) * d)  # realized on any grid
+        axes = tuple(range(d))
+        spectrum = np.fft.rfftn(values, axes=axes)
+        phi = bank.realize(shape)[1][..., :spectrum.shape[-1]]
+        expected = np.fft.irfftn(spectrum * phi, s=shape, axes=axes)
+        assert np.array_equal(window(SignalGrid(unit_plate(shape), values), bank).values, expected)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data(), d=st.integers(1, 2), J=st.integers(1, 3))
+    def test_folded_window_is_the_sliced_full_window(self, data, d, J):
+        step = 2 ** J
+        shape = data.draw(st.tuples(*[st.integers(1, 6).map(lambda k: k * step)] * d),
+                          label="shape")
+        values = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)),
+                           label="values")
+        bank = build_morlet_bank(J, 1 if d == 1 else 2, shape)
+        f = SignalGrid(unit_plate(shape, centered=True), values)
+        full = window(f, bank)
+        got = window(f, bank, step=step)
+        assert got.plate == subsample_signal(full, step).plate
+        assert is_sliced(got, full, (slice(None, None, step),) * d)
+        assert not got.values.flags.writeable and got.values.flags.c_contiguous
+
+    @pytest.mark.parametrize("output_subsample", [False, True])
+    @pytest.mark.parametrize("mode", ["plain", "maxp", "naivep"])
+    def test_one_window_call_per_node_in_node_order(self, bank32, monkeypatch, mode,
+                                                    output_subsample):
+        # perfbench/tracing.py assigns each window call its depth by call order
+        seen = []
+        original = scattering.window
+
+        def recording(f, *args, **kwargs):
+            seen.append(f)
+            return original(f, *args, **kwargs)
+
+        monkeypatch.setattr(scattering, "window", recording)
+        tree = compute_tree(random_signal((32, 32), seed=19), bank32, mode, 2,
+                            pool_cfg=PoolConfig(2, 2.0, "off"), output_subsample=output_subsample)
+        assert len(seen) == len(tree.nodes)
+        assert all(a is b for a, b in zip(seen, tree.nodes.values()))
+
+    @pytest.mark.parametrize("mode", ["plain", "maxp", "naivep"])
+    def test_every_array_the_cascade_makes_is_read_only(self, bank32, mode):
+        # the cascade adopts the arrays it makes instead of copying them
+        for conv_method in ("fft", "direct"):
+            for output_subsample in (False, True):
+                tree = compute_tree(random_signal((32, 32), seed=21), bank32, mode, 2,
+                                    pool_cfg=PoolConfig(2, 2.0, "off"),
+                                    output_subsample=output_subsample, conv_method=conv_method)
+                grids = list(tree.nodes.values()) + list(tree.outputs.values())
+                assert not any(g.values.flags.writeable for g in grids)
 
     @pytest.mark.parametrize("kind", ["equalized", "raw", "partition"])
     def test_phi_is_real_and_symmetric_on_every_realized_grid(self, kind):
