@@ -300,6 +300,8 @@ def cmd_bench(cfg: RunConfig) -> int:
     modes = [m.strip() for m in cfg.bench_modes.split(",") if m.strip()]
     for mode in modes:
         check_mode(mode)
+    if cfg.bench_batch < 1:
+        raise ValueError(f"need at least one signal in the batch, got {cfg.bench_batch}")
     rng = np.random.default_rng(cfg.seed)
     plate = unit_plate(cfg.grid, centered=True)
     batch = [SignalGrid(plate, rng.random(cfg.grid)) for _ in range(cfg.bench_batch)]

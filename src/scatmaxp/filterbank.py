@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 BANK_KINDS = ("morlet", "partition")
+EQUALIZE_FLOOR = np.finfo(np.float64).eps  # A_psi at or below this share of its peak is rounding
 
 
 class FilterIndex(NamedTuple):
@@ -221,17 +222,10 @@ def _gauss_hat(shape: tuple[int, ...], spatial: np.ndarray) -> np.ndarray:
 def _morlet_hat(
     shape: tuple[int, ...], sigma: float, xi: float, theta: float, slant: float
 ) -> np.ndarray:
-    """Zero-mean Morlet: shifted Gaussian minus the correction that kills the DC bin.
-
-    The shifted Gaussian is the envelope modulated by exp(i xi x_r); both
-    terms come from the same spatial envelope.
-    """
+    """Zero-mean Morlet: envelope * (exp(i xi x_r) - kappa), folded and transformed once."""
     envelope, xr = _gauss_envelope(len(shape), sigma, slant, theta)
-    g_shift = _gauss_hat(shape, envelope * np.exp(1j * xi * xr))
-    g_zero = _gauss_hat(shape, envelope)
-    origin = (0,) * len(shape)
-    kappa = g_shift[origin] / g_zero[origin]
-    return g_shift - kappa * g_zero
+    kappa = np.sum(envelope * np.cos(xi * xr)) / np.sum(envelope)  # zeroes the DC bin
+    return _gauss_hat(shape, envelope * (np.exp(1j * xi * xr) - kappa))
 
 
 def _build_morlet_filters(
@@ -262,13 +256,13 @@ def _equalize_wavelets(
 
     The common gain g(w) satisfies g^2 * A_psi = 1 - |phi_hat|^2, the discrete
     analogue of the energy identity the cascade's theory assumes; g is
-    symmetric in w, so the symmetrized sum equals 1 wherever A_psi > 0.
+    symmetric in w, so the symmetrized sum equals 1 wherever A_psi is above the
+    floor; at or below it A_psi is rounding, and dividing would blow that up.
     """
-    a_psi = np.zeros_like(phi)
-    for arr in psi.values():
-        a_psi += 0.5 * (np.abs(arr) ** 2 + np.abs(reflect_frequencies(arr)) ** 2)
+    a_psi = _symmetrized_energy(psi.values(), phi.shape)
     target = np.clip(1.0 - np.abs(phi) ** 2, 0.0, None)
-    gain = np.sqrt(np.divide(target, a_psi, out=np.zeros_like(a_psi), where=a_psi > 0))
+    covered = a_psi > EQUALIZE_FLOOR * np.max(a_psi)
+    gain = np.sqrt(np.divide(target, a_psi, out=np.zeros_like(a_psi), where=covered))
     return {k: v * gain for k, v in psi.items()}
 
 
@@ -320,10 +314,13 @@ def reflect_frequencies(arr: np.ndarray) -> np.ndarray:
 
 def littlewood_paley_sum(psi_hats: Iterable[np.ndarray], phi_hat: np.ndarray) -> np.ndarray:
     """|phi_hat|^2 + 1/2 sum_lambda (|psi_hat(w)|^2 + |psi_hat(-w)|^2) on the lattice."""
-    total = np.abs(phi_hat) ** 2
-    for arr in psi_hats:
-        total = total + 0.5 * (np.abs(arr) ** 2 + np.abs(reflect_frequencies(arr)) ** 2)
-    return total
+    return np.abs(phi_hat) ** 2 + _symmetrized_energy(psi_hats, phi_hat.shape)
+
+
+def _symmetrized_energy(psi_hats: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """A_psi = 1/2 (a + a(-w)) with a = sum_lambda |psi_hat|^2; a + a(-w) is exactly symmetric."""
+    a = sum((np.abs(arr) ** 2 for arr in psi_hats), np.zeros(shape))
+    return 0.5 * (a + reflect_frequencies(a))
 
 
 def frame_defect(bank: FilterBank) -> float:

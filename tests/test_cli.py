@@ -21,6 +21,7 @@ from scatmaxp.cli import (
     load_config,
     main,
 )
+from scatmaxp.filterbank import BankSpec
 from scatmaxp.grid import SignalGrid, read_sgrid, unit_plate, write_sgrid
 
 
@@ -355,6 +356,17 @@ class TestVerifyCommand:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("suite", ["energy", "decay"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_input_count_below_one_is_a_named_precondition(self, tmp_path, capsys, suite, count):
+        out = tmp_path / "verify"
+        code = main(["verify", *self.FAST, "--suites", suite, f"--{suite}-inputs", count,
+                     "--out", str(out)])
+        assert code == EXIT_FAIL
+        assert (f"[FAIL        ] {suite}: precondition violated: "
+                f"need at least one input, got {count}") in capsys.readouterr().out
+        assert not (out / f"{suite}.csv").exists()
+
     def test_unknown_suite_rejected(self, tmp_path, capsys):
         code = main(["verify", "--suites", "astrology", "--out", str(tmp_path / "x")])
         assert code == EXIT_FAIL
@@ -472,6 +484,18 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "signals/s" not in captured.out
+        assert not (out / "bench.json").exists()
+
+    @pytest.mark.parametrize("batch", ["0", "-3"])
+    def test_batch_below_one_fails_before_any_bank(self, tmp_path, capsys, monkeypatch, batch):
+        def no_bank(self, shape):
+            raise AssertionError("a bank was built")
+
+        monkeypatch.setattr(BankSpec, "build", no_bank)
+        out = tmp_path / "bench"
+        code = main(["bench", "--grid", "32", "--batch", batch, "--out", str(out)])
+        assert code == EXIT_FAIL
+        assert f"need at least one signal in the batch, got {batch}" in capsys.readouterr().err
         assert not (out / "bench.json").exists()
 
 

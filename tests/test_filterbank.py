@@ -21,6 +21,7 @@ from scatmaxp.filterbank import (
     littlewood_paley_sum,
     reflect_frequencies,
     theorem_constant_B,
+    _equalize_wavelets,
     _gauss_envelope,
     _gauss_hat,
 )
@@ -101,6 +102,24 @@ class TestBankConstruction:
         # cache returns the same arrays
         psi2, _ = bank.realize((32, 32))
         assert psi2[FilterIndex(0, 0)] is psi[FilterIndex(0, 0)]
+
+    @pytest.mark.parametrize("J, L, shape, smaller", [
+        (2, 2, (32, 32), (16, 16)), (3, 8, (64, 64), (32, 32)), (3, 1, (64,), (32,))])
+    def test_one_forward_transform_per_filter(self, J, L, shape, smaller, monkeypatch):
+        calls = []
+        fftn = np.fft.fftn
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return fftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", counting)
+        bank = build_morlet_bank(J, L, shape)
+        assert len(calls) == J * L + 1  # one per wavelet, one for phi
+        bank.realize(smaller)
+        assert len(calls) == 2 * (J * L + 1)
+        bank.realize(smaller)  # cached: no further transform
+        assert len(calls) == 2 * (J * L + 1)
 
 
 def alias_sum_gaussian(shape, sigma, center, slant, theta):
@@ -221,6 +240,33 @@ class TestFrameDefect:
         bank = build_morlet_bank(2, 2, (32, 32))
         doctored = replace(bank, phi_hat=0.9 * bank.phi_hat, _cache={})
         assert frame_defect(doctored) >= abs(1.0 - 0.81) - 1e-12
+
+    @pytest.mark.parametrize("equalize", [False, True])
+    def test_littlewood_paley_sum_is_the_per_filter_formula(self, equalize):
+        bank = build_morlet_bank(2, 3, (32, 48), equalize=equalize)
+        expected = np.abs(bank.phi_hat) ** 2
+        for arr in bank.psi_hat.values():
+            expected = expected + 0.5 * (np.abs(arr) ** 2 + np.abs(reflect_frequencies(arr)) ** 2)
+        # a generator works as well as a list
+        total = littlewood_paley_sum((arr for arr in bank.psi_hat.values()), bank.phi_hat)
+        assert np.max(np.abs(total - expected)) <= 1e-15 * np.max(expected)
+        # the wavelet part is exactly symmetric; phi_hat is symmetric only to rounding
+        wavelets = littlewood_paley_sum(bank.psi_hat.values(), np.zeros_like(bank.phi_hat))
+        assert np.array_equal(wavelets, reflect_frequencies(wavelets))
+        assert np.array_equal(littlewood_paley_sum([], bank.phi_hat), np.abs(bank.phi_hat) ** 2)
+
+    @pytest.mark.parametrize("J, shape", [(1, (16, 16)), (2, (32, 32))])
+    def test_equalization_leaves_rounding_noise_uncovered(self, J, shape):
+        # a 2-D bank with one rotation leaves bins whose wavelet energy is
+        # rounding; noise there must not be blown up to the size of the filters
+        raw = build_morlet_bank(J, 1, shape, equalize=False)
+        rng = np.random.default_rng(3)
+        noisy = {k: v + np.finfo(np.float64).eps * np.max(np.abs(v)) * rng.standard_normal(shape)
+                 for k, v in raw.psi_hat.items()}
+        clean = _equalize_wavelets(dict(raw.psi_hat), raw.phi_hat)
+        moved = _equalize_wavelets(noisy, raw.phi_hat)
+        for k, v in clean.items():
+            assert np.max(np.abs(moved[k] - v)) <= 1e-12 * np.max(np.abs(v))
 
     def test_equalization_leaves_reflection_symmetric_sum(self):
         bank = build_morlet_bank(2, 2, (32, 32))

@@ -135,20 +135,27 @@ class TestCommutation:
 
 
 class TestEnergyMonotonicity:
-    def test_flags_only_sub_plates_that_cover_several_cells(self):
-        # a spike pooled from 4-sample blocks at S = 2 is flagged at all 20 pooled nodes,
-        # and its layer energies do grow; 2-sample blocks contract it unflagged
+    def test_certifies_only_depths_whose_pools_contracted(self):
+        # 2-sample blocks at S = 2 give one cell per sub-plate, which always contracts
         f = random_signal(np.random.default_rng(1), "spikes", (32, 32))
         report = check_energy_monotonic(f, SMALL)
-        assert report.notes[-1] == "admissibility flags recorded: 0"
+        assert report.notes[-1] == "depths whose pooling expanded a node: none"
         assert report.verdict == "pass"
-        report = check_energy_monotonic(f, replace(SMALL, pool=PoolConfig(4, 2.0)))
-        assert report.notes[-1] == (
-            "admissibility flags recorded: 20; skipped all 4 cases (inadmissible pooling)")
-        # the inequalities assume admissible pooling, so a flagged cascade certifies nothing
+        # pooled from 4-sample blocks, this spike expands at both depths and its
+        # layer energies do grow: a case resting on an expanding pool certifies nothing
+        blocks4 = replace(SMALL, pool=PoolConfig(4, 2.0))
+        report = check_energy_monotonic(f, blocks4)
+        assert report.notes[-1] == "depths whose pooling expanded a node: [1, 2]; skipped 4 of 4 cases"
         assert report.verdict == "inconclusive"
         assert report.n_skip == len(report.cases) == 4
         assert any(c.measured > c.bound for c in report.cases)  # measured values are kept
+        # this one expands at depth 1 only: E_2 <= E_1 rests on depth 2's pools alone
+        f = random_signal(np.random.default_rng(2), "spikes", (32, 32))
+        report = check_energy_monotonic(f, blocks4)
+        assert report.notes[-1] == "depths whose pooling expanded a node: [1]; skipped 3 of 4 cases"
+        assert [c.name for c in report.cases if c.status == "pass"] == ["step_m1"]
+        ratios = report.notes[-2].removeprefix("worst pool ratios ").split()
+        assert float(ratios[0].split("=")[1]) > 1.0 >= float(ratios[1].split("=")[1])
 
     def test_morlet_bank_with_measured_slack(self):
         f = random_signal(np.random.default_rng(1), "uniform", (32, 32))
