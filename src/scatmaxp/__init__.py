@@ -41,7 +41,6 @@ from .scattering import (
     enumerate_paths,
     feature_summary,
     propagate_one,
-    propagate_pooled,
     strided_block_max,
     subsample_signal,
     window,

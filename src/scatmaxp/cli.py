@@ -37,14 +37,14 @@ CASCADE_DEPTH = 2  # scatter and bench; verify certifies at VerifyConfig.max_dep
 class RunConfig:
     """Flat configuration shared by all subcommands; every field has a default."""
 
-    j: int = 2
-    l: int = 2
-    grid: tuple[int, ...] = (64, 64)
+    j: int = BankSpec.J
+    l: int = BankSpec.L
+    grid: tuple[int, ...] = VerifyConfig.grid
     sigma0: float = MorletParams.sigma0
     xi0: float = MorletParams.xi0
     slant: float | None = MorletParams.slant
-    equalize: bool = True
-    bank_kind: str = "morlet"
+    equalize: bool = BankSpec.equalize
+    bank_kind: str = BankSpec.kind
     mode: str = "plain"
     depth: int | None = None  # None: the command's own default, resolved in main
     policy: str = "full"
@@ -54,7 +54,7 @@ class RunConfig:
     subsample_outputs: bool = False
     format: str = "sgrid-manifest"
     out: str = "scatmaxp-out"
-    seed: int = 0
+    seed: int = VerifyConfig.seed
     suites: str = "contraction,commutation,energy,decay,equivariance"
     trials_contraction: int = 1000
     trials_commutation: int = 200

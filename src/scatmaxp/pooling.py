@@ -15,6 +15,8 @@ import numpy as np
 
 from .grid import Plate, SignalGrid, l2_norm, linf_norm
 
+ADMISSIBILITY_MODES = ("strict", "warn", "off")
+
 
 class AdmissibilityError(ValueError):
     """Pooling factor at or below the admissibility threshold in strict mode."""
@@ -101,7 +103,7 @@ def max_pool(
     S = float(S)
     if S < 1.0:
         raise ValueError(f"pooling factor must be >= 1, got {S}")
-    if admissibility not in ("strict", "warn", "off"):
+    if admissibility not in ADMISSIBILITY_MODES:
         raise ValueError(f"unknown admissibility mode {admissibility!r}")
 
     out_samples = []

@@ -9,13 +9,14 @@ once (stride 3), without per-layer theory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb, prod
 
 import numpy as np
 
 from .filterbank import FilterBank, FilterIndex
 from .grid import Plate, SignalGrid, _direct_circular_convolve, convolve, l2_norm
-from .pooling import PlatePartition, _block_maxima, max_pool
+from .pooling import ADMISSIBILITY_MODES, PlatePartition, _block_maxima, max_pool
 
 Path = tuple[FilterIndex, ...]
 
@@ -41,6 +42,8 @@ class PoolConfig:
     def __post_init__(self):
         if self.block_samples < 1:
             raise ValueError(f"block_samples must be >= 1, got {self.block_samples}")
+        if self.admissibility not in ADMISSIBILITY_MODES:
+            raise ValueError(f"unknown admissibility mode {self.admissibility!r}")
 
     def blocks_for(self, shape: tuple[int, ...]) -> tuple[int, ...]:
         b = self.block_samples
@@ -102,32 +105,18 @@ def propagate_one(
 ) -> SignalGrid:
     """One wavelet-modulus step |psi_lambda * f|, stored as float64.
 
-    ``f_hat`` is ``fftn(f.values)`` when the caller already has it; the fft
-    method then filters that spectrum instead of transforming f again.
+    The fft method filters ``f_hat``, ``fftn(f.values)`` if the caller already
+    has it, or else transforms f itself; other methods use :func:`convolve`.
     """
     psi, _ = bank.realize(f.shape)
     if index not in psi:
         raise ValueError(f"filter index {index} is not in the bank")
-    if method == "fft" and f_hat is not None:
-        work = f_hat * psi[index]
+    if method == "fft":
+        work = (np.fft.fftn(f.values) if f_hat is None else f_hat) * psi[index]
         values = np.fft.ifftn(work, out=work)
     else:
         values = convolve(f, psi[index], method=method).values
     return SignalGrid._adopt(f.plate, np.abs(values))
-
-
-def propagate_pooled(
-    f: SignalGrid,
-    index: FilterIndex,
-    bank: FilterBank,
-    pool_cfg: PoolConfig,
-    method: str = "fft",
-    f_hat: np.ndarray | None = None,
-) -> SignalGrid:
-    """Pooled propagator step: max-pooling applied to the wavelet-modulus output."""
-    u = propagate_one(f, index, bank, method, f_hat)
-    partition = PlatePartition(u.plate, pool_cfg.blocks_for(u.shape))
-    return max_pool(u, partition, pool_cfg.factor, pool_cfg.admissibility)
 
 
 def window(f: SignalGrid, bank: FilterBank, method: str = "fft", step: int = 1) -> SignalGrid:
@@ -228,25 +217,24 @@ def compute_tree(
     nodes: dict[Path, SignalGrid] = dict.fromkeys(enumerate_paths(bank, 0, policy), f)
     spectra: dict[tuple[int, ...], np.ndarray] = {}  # one parent-spectrum buffer per shape
     for depth in range(1, max_depth + 1):
-        parent, f_hat = None, None
-        for path in enumerate_paths(bank, depth, policy):
-            g = nodes[path[:-1]]
-            # siblings are contiguous, so each parent is transformed once, into
-            # its shape's buffer, which no earlier parent still needs
-            if path[:-1] != parent:
-                parent, f_hat = path[:-1], None
-                if conv_method == "fft":
-                    f_hat = np.fft.fftn(g.values, out=spectra.get(g.shape))
-                    spectra[g.shape] = f_hat
-            if mode == "maxp":
-                try:
-                    nodes[path] = propagate_pooled(
-                        g, path[-1], bank, pool_cfg, conv_method, f_hat
-                    )
-                except ValueError as exc:
-                    raise ValueError(f"pooling failed at depth {depth}: {exc}") from exc
-            else:
-                nodes[path] = propagate_one(g, path[-1], bank, conv_method, f_hat)
+        # siblings are contiguous: each parent is transformed once, into its shape's
+        # buffer, which no earlier parent still needs; its children's moduli share its plate
+        for parent, children in groupby(enumerate_paths(bank, depth, policy), lambda p: p[:-1]):
+            g, f_hat = nodes[parent], None
+            if conv_method == "fft":
+                f_hat = spectra[g.shape] = np.fft.fftn(g.values, out=spectra.get(g.shape))
+            try:
+                if mode == "maxp":
+                    partition = PlatePartition(g.plate, pool_cfg.blocks_for(g.shape))
+                for path in children:
+                    u = propagate_one(g, path[-1], bank, conv_method, f_hat)
+                    if mode == "maxp":
+                        u = max_pool(u, partition, pool_cfg.factor, pool_cfg.admissibility)
+                    nodes[path] = u
+            except ValueError as exc:
+                if mode != "maxp":
+                    raise
+                raise ValueError(f"pooling failed at depth {depth}: {exc}") from exc
 
     # one window call per node, in node order: perfbench's tracer assigns
     # window depths by call order

@@ -10,8 +10,8 @@ inequalities.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .grid import (
     translate_with_plate,
     unit_plate,
 )
-from .pooling import AdmissibilityError, AdmissibilityWarning, PlatePartition, max_pool, min_admissible_factor
+from .pooling import AdmissibilityError, PlatePartition, max_pool, min_admissible_factor
 from .scattering import PoolConfig, ScatteringTree, compute_tree, propagate_one
 
 EXACT_RTOL = 1e-12
@@ -122,6 +122,12 @@ def random_signal(rng: np.random.Generator, family: str, shape: tuple[int, ...])
     return SignalGrid(plate, values)
 
 
+def _certified_pool(config: VerifyConfig) -> PoolConfig:
+    """The cascade suites' pooling: admissibility check off unless strict, which still raises."""
+    strict = config.pool.admissibility == "strict"
+    return replace(config.pool, admissibility="strict" if strict else "off")
+
+
 def _realized_frame_defect(bank: FilterBank, tree: ScatteringTree) -> float:
     """Worst Littlewood-Paley defect over the grids the tree's filters were realized on."""
     defects = []
@@ -203,10 +209,8 @@ def check_energy_monotonic(f: SignalGrid, config: VerifyConfig = VerifyConfig())
     is recorded as skipped, with its measured energy and bound.
     """
     bank = config.bank.build(f.shape)
-    strict = config.pool.admissibility == "strict"
-    pool = replace(config.pool, admissibility="strict" if strict else "off")
     tree = compute_tree(f, bank, mode="maxp", max_depth=config.max_depth, policy="full",
-                        pool_cfg=pool)
+                        pool_cfg=_certified_pool(config))
     eps = _realized_frame_defect(bank, tree)
     report = VerificationReport(
         "layer_energy_monotonicity",
@@ -216,9 +220,13 @@ def check_energy_monotonic(f: SignalGrid, config: VerifyConfig = VerifyConfig())
     ratios = []  # worst ||P u|| / ||u|| per depth, from depth 1
     for m in range(1, config.max_depth + 1):
         worst = 0.0
-        for path in tree.paths_at(m):
-            norm = l2_norm(propagate_one(tree.nodes[path[:-1]], path[-1], bank))
-            worst = max(worst, l2_norm(tree.nodes[path]) / norm if norm > 0.0 else 0.0)
+        # siblings are contiguous, as in compute_tree, so each parent is transformed once
+        for parent, children in groupby(tree.paths_at(m), lambda p: p[:-1]):
+            g = tree.nodes[parent]
+            g_hat = np.fft.fftn(g.values)
+            for path in children:
+                norm = l2_norm(propagate_one(g, path[-1], bank, f_hat=g_hat))
+                worst = max(worst, l2_norm(tree.nodes[path]) / norm if norm > 0.0 else 0.0)
         ratios.append(worst)
     contracted = [r <= 1.0 + EXACT_RTOL for r in ratios]
 
@@ -258,7 +266,7 @@ def check_invariance_decay(
             if abs(shift - round(shift)) > 1e-9:
                 raise ValueError(
                     f"shift component {x} lands between grid cells at depth {m}; "
-                    f"use a whole multiple of S^max_depth sample spacings"
+                    f"use a whole multiple of block_samples S^(max_depth-1) sample spacings"
                 )
             if m < config.max_depth and round(shift) % config.pool.block_samples != 0:
                 raise ValueError(
@@ -271,11 +279,9 @@ def check_invariance_decay(
     energy = l2_norm(f) ** 2
     shifted = translate_with_plate(f, c)
     kwargs = dict(mode="maxp", max_depth=config.max_depth, policy="full",
-                  pool_cfg=config.pool)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AdmissibilityWarning)
-        tree_f = compute_tree(f, bank, **kwargs)
-        tree_g = compute_tree(shifted, bank, **kwargs)
+                  pool_cfg=_certified_pool(config))
+    tree_f = compute_tree(f, bank, **kwargs)
+    tree_g = compute_tree(shifted, bank, **kwargs)
     report = VerificationReport(
         "translation_invariance_decay",
         dict(config.bank.summary(), grid=config.grid, seed=config.seed, B=B, S=S, c=c,
@@ -375,7 +381,9 @@ def default_suites(config: VerifyConfig, trials: dict[str, int]):
         _require_inputs(trials["decay"])
         rng = np.random.default_rng(config.seed + 5)
         plate = unit_plate(config.grid, centered=True)
-        step = plate.spacing[0] * config.pool.factor ** config.max_depth
+        # sub-plate-aligned at every pooled depth; whole at the last, as S divides block_samples
+        pool = config.pool
+        step = plate.spacing[0] * pool.block_samples * pool.factor ** (config.max_depth - 1)
         c = (step,) + (0.0,) * (plate.dim - 1)
         merged = None
         for i in range(trials["decay"]):

@@ -16,6 +16,7 @@ from scatmaxp.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
+    RunConfig,
     _build_parser,
     apply_flags,
     load_config,
@@ -23,6 +24,7 @@ from scatmaxp.cli import (
 )
 from scatmaxp.filterbank import BankSpec
 from scatmaxp.grid import SignalGrid, read_sgrid, unit_plate, write_sgrid
+from scatmaxp.verify import VerifyConfig
 
 
 def write_test_pgm(path, size=32, seed=0):
@@ -33,6 +35,12 @@ def write_test_pgm(path, size=32, seed=0):
 
 
 class TestConfigFile:
+    def test_defaults_are_the_librarys(self):
+        cfg, spec, verify = RunConfig(), BankSpec(), VerifyConfig()
+        assert cfg.bank_spec() == spec == verify.bank
+        assert cfg.pool_config() == verify.pool
+        assert (cfg.grid, cfg.seed) == (verify.grid, verify.seed)
+
     def test_key_value_parsing_with_defaults(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("j = 3\ngrid = 128\npool_factor = 2.0\n# comment\nequalize = true\n")
@@ -294,6 +302,18 @@ class TestVerifyCommand:
                      "--out", str(out)])
         assert code == EXIT_FAIL
         assert "threshold" in capsys.readouterr().out
+
+    def test_decay_shift_is_aligned_for_multi_sample_blocks(self, tmp_path, capsys):
+        # the shift is block_samples S^(depth-1) spacings: 8 samples here, where
+        # S^depth = 4 would halve to 2 samples on 4-sample sub-plates at depth 1
+        argv = ["verify", *self.FAST, "--suites", "decay", "--pool-blocks", "4"]
+        assert main([*argv, "--out", str(tmp_path / "off")]) == EXIT_PASS
+        assert "decay: 5 passed" in capsys.readouterr().out
+        # uniform inputs are inadmissible at S = 2 with 4-sample blocks; strict names it
+        assert main([*argv, "--strict-pooling", "--out", str(tmp_path / "strict")]) == EXIT_FAIL
+        text = capsys.readouterr().out
+        assert "[FAIL        ] decay: precondition violated: pooling failed" in text
+        assert "threshold" in text
 
     def test_pooling_keys_in_config_reach_the_suites(self, tmp_path, capsys):
         cfg_file = tmp_path / "pool.cfg"

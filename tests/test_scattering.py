@@ -25,7 +25,6 @@ from scatmaxp.scattering import (
     enumerate_paths,
     feature_summary,
     propagate_one,
-    propagate_pooled,
     strided_block_max,
     subsample_signal,
     window,
@@ -137,15 +136,6 @@ class TestPropagate:
                 udiff = l2_norm(uf.with_values(uf.values - ug.values))
                 assert udiff <= gain * diff * (1 + 1e-12)
 
-    def test_pooled_step_is_the_composition(self, bank32):
-        f = random_signal((32, 32), seed=2)
-        cfg = PoolConfig(2, 2.0, "off")
-        u = propagate_one(f, FilterIndex(0, 1), bank32)
-        expected = max_pool(u, PlatePartition(u.plate, (16, 16)), 2.0, "off")
-        got = propagate_pooled(f, FilterIndex(0, 1), bank32, cfg)
-        assert got.plate == expected.plate
-        assert np.array_equal(got.values, expected.values)
-
     def test_window_of_constant_keeps_dc_gain(self, bank32):
         f = SignalGrid(unit_plate((32, 32)), np.full((32, 32), 3.0))
         out = window(f, bank32)
@@ -220,6 +210,13 @@ class TestComputeTree:
         with pytest.raises(ValueError, match="depth 4"):
             compute_tree(random_signal((8, 8)), bank, "maxp", 4,
                          pool_cfg=PoolConfig(2, 2.0, "off"))
+
+    def test_unknown_admissibility_mode_rejected_when_configured(self):
+        # at construction, so a plain or naivep run rejects it as a maxp run does
+        with pytest.raises(ValueError, match="unknown admissibility mode 'wran'"):
+            PoolConfig(2, 2.0, "wran")
+        for admissibility in pooling.ADMISSIBILITY_MODES:  # the modes max_pool accepts
+            PoolConfig(2, 2.0, admissibility)
 
     def test_frequency_decreasing_paths_only(self, bank64):
         tree = compute_tree(random_signal((64, 64)), bank64, "plain", 2,
@@ -393,10 +390,10 @@ class TestSpectralEngine:
             if not path:
                 continue
             parent = tree.nodes[path[:-1]]
+            expected = propagate_one(parent, path[-1], bank32)
             if mode == "maxp":
-                expected = propagate_pooled(parent, path[-1], bank32, cfg)
-            else:
-                expected = propagate_one(parent, path[-1], bank32)
+                partition = PlatePartition(parent.plate, cfg.blocks_for(parent.shape))
+                expected = max_pool(expected, partition, cfg.factor, cfg.admissibility)
             assert node.plate == expected.plate
             assert np.array_equal(node.values, expected.values)
 

@@ -27,10 +27,13 @@ def test_tracer_installs_records_and_restores(monkeypatch):
     with tracing.installed(tracer):
         for name, (owner, attr) in hooked.items():
             assert owner.__dict__[attr] is not originals[name], name
-        bank = filterbank.build_morlet_bank(1, 1, (8, 8))
+        bank = filterbank.build_morlet_bank(1, 2, (8, 8))
         f = SignalGrid(unit_plate((8, 8)), np.random.default_rng(0).random((8, 8)))
-        scattering.compute_tree(f, bank, "maxp", 1)
+        tree = scattering.compute_tree(f, bank, "maxp", 2)
     for name, (owner, attr) in hooked.items():
         assert owner.__dict__[attr] is originals[name], name
-    names = {span.name for span in tracer.spans}
-    assert {"filterbank.build", "scattering.tree", "pooling.max_pool"} <= names
+    names = [span.name for span in tracer.spans]
+    assert {"filterbank.build", "scattering.tree", "pooling.max_pool"} <= set(names)
+    # the cascade calls the module-level step and pool once per child, so each is traced
+    children = len(tree.nodes) - 1
+    assert names.count("scattering.propagate") == names.count("pooling.max_pool") == children == 6

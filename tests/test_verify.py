@@ -178,6 +178,15 @@ class TestEnergyMonotonicity:
         assert report.verdict == "pass"
         assert all(c.measured == 0.0 for c in report.cases)
 
+    def test_one_forward_transform_per_parent(self, monkeypatch):
+        # 20 for the bank (5 filters on 4 grids), then the 1 + 4 + 16 parents, once
+        # for the tree and once for the unpooled moduli the pool ratios divide by
+        calls = []
+        fftn = np.fft.fftn
+        monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(a) or fftn(*a, **k))
+        check_energy_monotonic(random_signal(np.random.default_rng(0), "uniform", (64, 64)))
+        assert len(calls) == 62
+
 
 MORLET_ENV = ["# env sigma0=0.8", "# env slant=2.0", "# env xi0=2.356194490192345"]
 COMMON_ENV = ["# env J=2", "# env L=2", "# env S=2.0", "# env grid=(32, 32)",
