@@ -28,7 +28,6 @@ from .grid import (
 from .pooling import (
     AdmissibilityError,
     AdmissibilityWarning,
-    PlatePartition,
     max_pool,
     min_admissible_factor,
 )

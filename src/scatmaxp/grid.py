@@ -8,7 +8,7 @@ identities hold exactly on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -259,9 +259,11 @@ def read_sgrid(path) -> SignalGrid:
             origin = tuple(float(x) for x in fields[:d])
             sides = tuple(float(x) for x in fields[d:2 * d])
             samples = tuple(int(x) for x in fields[2 * d:3 * d])
+            if not all(map(isfinite, origin + sides)):
+                raise ValueError("non-finite origin or side length")
         except (IndexError, ValueError) as exc:
             raise ValueError(f"{path}: malformed SGRID header") from exc
-        plate = Plate(origin, sides, samples)
+        plate = _file_plate(path, origin, sides, samples)
         count = 2 * prod(samples)
         buf = np.frombuffer(fh.read(8 * count), dtype="<f8")
         if buf.size != count:
@@ -297,6 +299,7 @@ def read_pgm(path) -> SignalGrid:
         raise ValueError(f"{path}: malformed PGM header") from exc
     if maxval != 255:
         raise ValueError(f"{path}: expected maxval 255, got {maxval}")
+    plate = _file_plate(path, (0.0, 0.0), (1.0, 1.0), (height, width))
     i += 1  # single whitespace after maxval
     pixels = np.frombuffer(data[i:i + width * height], dtype=np.uint8)
     if pixels.size != width * height:
@@ -304,4 +307,12 @@ def read_pgm(path) -> SignalGrid:
     if len(data) > i + width * height:
         raise ValueError(f"{path}: trailing bytes after PGM payload")
     values = pixels.reshape(height, width).astype(np.float64) / 255.0
-    return SignalGrid(Plate((0.0, 0.0), (1.0, 1.0), (height, width)), values)
+    return SignalGrid(plate, values)
+
+
+def _file_plate(path, origin, sides, samples) -> Plate:
+    """The plate a file's header declares; one no plate can have fails naming the file."""
+    try:
+        return Plate(origin, sides, samples)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

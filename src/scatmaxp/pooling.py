@@ -1,4 +1,4 @@
-"""Continuous max-pooling on plates: partitioning, admissibility, pooling.
+"""Continuous max-pooling on plates: admissibility and the pooling operator.
 
 The pooling operator replaces |f| on each congruent sub-plate by its largest
 sample and maps the plate D to D/S.  The output grid is chosen so every
@@ -8,8 +8,6 @@ piecewise-constant pooled function losslessly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -26,41 +24,6 @@ class AdmissibilityWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class PlatePartition:
-    """Split of a plate into congruent axis-aligned sub-plates, whole samples each."""
-
-    parent: Plate
-    blocks_per_axis: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks_per_axis", tuple(int(b) for b in self.blocks_per_axis))
-        if len(self.blocks_per_axis) != self.parent.dim:
-            raise ValueError("blocks_per_axis dimension does not match the plate")
-        if any(b < 1 for b in self.blocks_per_axis):
-            raise ValueError(f"blocks_per_axis must be >= 1, got {self.blocks_per_axis}")
-        for n, b in zip(self.parent.samples_per_axis, self.blocks_per_axis):
-            if n % b != 0:
-                raise ValueError(f"{n} samples are not divisible into {b} blocks")
-
-    @property
-    def n_blocks(self) -> int:
-        return prod(self.blocks_per_axis)
-
-    @property
-    def samples_per_block(self) -> tuple[int, ...]:
-        return tuple(n // b for n, b in zip(self.parent.samples_per_axis, self.blocks_per_axis))
-
-    @property
-    def block_side_lengths(self) -> tuple[float, ...]:
-        return tuple(s / b for s, b in zip(self.parent.side_lengths, self.blocks_per_axis))
-
-    def sub_plate(self, index: tuple[int, ...]) -> Plate:
-        sides = self.block_side_lengths
-        origin = tuple(o + i * w for o, i, w in zip(self.parent.origin, index, sides))
-        return Plate(origin, sides, self.samples_per_block)
-
-
 def min_admissible_factor(f: SignalGrid) -> float:
     """Admissibility threshold (|D| (||f||_inf / ||f||_2)^2)^(1/d); S above it keeps ||P f|| <= ||f||.
 
@@ -75,7 +38,7 @@ def min_admissible_factor(f: SignalGrid) -> float:
 
 def max_pool(
     f: SignalGrid,
-    partition: PlatePartition,
+    block_samples: int | tuple[int, ...],
     S: float,
     admissibility: str = "warn",
 ) -> SignalGrid:
@@ -84,13 +47,13 @@ def max_pool(
     Parameters
     ----------
     f : SignalGrid
-        Input signal; ``partition.parent`` must be its plate.
-    partition : PlatePartition
-        Sub-plate layout supplying the block maxima.
+        Input signal; its plate is split into congruent sub-plates.
+    block_samples : int or tuple of int
+        Samples per sub-plate along each axis: one int for every axis, or one
+        per axis.  Each must divide the axis's sample count n.
     S : float
-        Pooling factor, at least 1; the output grid keeps samples/S cells per
-        axis, so S must divide the sample counts and the block counts must
-        divide the result.
+        Pooling factor, at least 1; the output grid keeps n/S cells per axis,
+        so S must divide n and n/S must be a whole number of the sub-plates.
     admissibility : str
         Where a sub-plate maps to more than one output cell, "strict" raises when
         S does not exceed :func:`min_admissible_factor`, "warn" (default) emits
@@ -98,27 +61,32 @@ def max_pool(
         sub-plate always contracts (max^2 <= the block's sum of squares), as
         does the zero signal, so neither is checked.
     """
-    if partition.parent != f.plate:
-        raise ValueError("partition was built for a different plate")
+    sizes = (block_samples,) * f.plate.dim if np.isscalar(block_samples) else tuple(block_samples)
+    if len(sizes) != f.plate.dim:
+        raise ValueError(f"expected {f.plate.dim} sub-plate sizes, got {len(sizes)}")
+    if min(sizes) < 1:
+        raise ValueError(f"sub-plate sizes must be >= 1, got {sizes}")
     S = float(S)
     if S < 1.0:
         raise ValueError(f"pooling factor must be >= 1, got {S}")
     if admissibility not in ADMISSIBILITY_MODES:
         raise ValueError(f"unknown admissibility mode {admissibility!r}")
 
-    out_samples = []
-    for n, b in zip(f.plate.samples_per_axis, partition.blocks_per_axis):
+    out_samples, reps = [], []
+    for n, k in zip(f.shape, sizes):
+        if n % k != 0:
+            raise ValueError(f"{n} samples are not divisible into sub-plates of {k}")
         n_out = n / S
         if abs(n_out - round(n_out)) > 1e-9:
             raise ValueError(f"pooling factor {S} does not divide {n} samples evenly")
-        n_out = int(round(n_out))
-        if n_out % b != 0:
+        n_out, blocks = round(n_out), n // k
+        if n_out % blocks != 0:
             raise ValueError(
-                f"sub-plate images would cover {n_out}/{b} output cells per axis; "
+                f"sub-plate images would cover {n_out}/{blocks} output cells per axis; "
                 f"choose S so blocks map to whole cells"
             )
         out_samples.append(n_out)
-    reps = tuple(n // b for n, b in zip(out_samples, partition.blocks_per_axis))
+        reps.append(n_out // blocks)
 
     if admissibility != "off" and max(reps) > 1 and np.any(f.values):
         threshold = min_admissible_factor(f)
@@ -131,7 +99,7 @@ def max_pool(
                 raise AdmissibilityError(message)
             warnings.warn(message, AdmissibilityWarning, stacklevel=2)
 
-    values = _block_maxima(np.abs(f.values), partition.blocks_per_axis)
+    values = _block_maxima(np.abs(f.values), sizes)
     if max(reps) > 1:  # each sub-plate covers several output cells
         values = np.kron(values, np.ones(reps))
     out_plate = Plate(
@@ -142,17 +110,16 @@ def max_pool(
     return SignalGrid._adopt(out_plate, values)
 
 
-def _block_maxima(magnitudes: np.ndarray, blocks_per_axis: tuple[int, ...]) -> np.ndarray:
+def _block_maxima(magnitudes: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
     """Per-block maxima, one axis at a time: the elementwise maximum of k strided slices.
 
-    Along an axis with k samples per block, block i holds sample i of each
-    slice x[o::k], o = 0..k-1; axes with k = 1 are left as they are.  A maximum
-    rounds nothing and ``np.maximum`` propagates NaN, so any reduction order
-    gives the same bits.
+    Along an axis with k = ``sizes[axis]`` samples per block, block i holds
+    sample i of each slice x[o::k], o = 0..k-1; axes with k = 1 are left as
+    they are.  A maximum rounds nothing and ``np.maximum`` propagates NaN, so
+    any reduction order gives the same bits.
     """
     out = magnitudes
-    for axis, (n, b) in enumerate(zip(magnitudes.shape, blocks_per_axis)):
-        k = n // b
+    for axis, k in enumerate(sizes):
         if k == 1:
             continue
         lead = (slice(None),) * axis

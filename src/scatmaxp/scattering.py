@@ -16,7 +16,7 @@ import numpy as np
 
 from .filterbank import FilterBank, FilterIndex
 from .grid import Plate, SignalGrid, _direct_circular_convolve, convolve, l2_norm
-from .pooling import ADMISSIBILITY_MODES, PlatePartition, _block_maxima, max_pool
+from .pooling import ADMISSIBILITY_MODES, _block_maxima, max_pool
 
 Path = tuple[FilterIndex, ...]
 
@@ -42,15 +42,10 @@ class PoolConfig:
     def __post_init__(self):
         if self.block_samples < 1:
             raise ValueError(f"block_samples must be >= 1, got {self.block_samples}")
+        if self.factor < 1:
+            raise ValueError(f"pooling factor must be >= 1, got {self.factor}")
         if self.admissibility not in ADMISSIBILITY_MODES:
             raise ValueError(f"unknown admissibility mode {self.admissibility!r}")
-
-    def blocks_for(self, shape: tuple[int, ...]) -> tuple[int, ...]:
-        b = self.block_samples
-        for n in shape:
-            if n % b != 0:
-                raise ValueError(f"{n} samples do not split into blocks of {b}")
-        return tuple(n // b for n in shape)
 
 
 def enumerate_paths(bank: FilterBank, m: int, policy: str = "full") -> list[Path]:
@@ -218,23 +213,20 @@ def compute_tree(
     spectra: dict[tuple[int, ...], np.ndarray] = {}  # one parent-spectrum buffer per shape
     for depth in range(1, max_depth + 1):
         # siblings are contiguous: each parent is transformed once, into its shape's
-        # buffer, which no earlier parent still needs; its children's moduli share its plate
+        # buffer, which no earlier parent still needs
         for parent, children in groupby(enumerate_paths(bank, depth, policy), lambda p: p[:-1]):
             g, f_hat = nodes[parent], None
             if conv_method == "fft":
                 f_hat = spectra[g.shape] = np.fft.fftn(g.values, out=spectra.get(g.shape))
-            try:
+            for path in children:
+                u = propagate_one(g, path[-1], bank, conv_method, f_hat)
                 if mode == "maxp":
-                    partition = PlatePartition(g.plate, pool_cfg.blocks_for(g.shape))
-                for path in children:
-                    u = propagate_one(g, path[-1], bank, conv_method, f_hat)
-                    if mode == "maxp":
-                        u = max_pool(u, partition, pool_cfg.factor, pool_cfg.admissibility)
-                    nodes[path] = u
-            except ValueError as exc:
-                if mode != "maxp":
-                    raise
-                raise ValueError(f"pooling failed at depth {depth}: {exc}") from exc
+                    try:
+                        u = max_pool(u, pool_cfg.block_samples, pool_cfg.factor,
+                                     pool_cfg.admissibility)
+                    except ValueError as exc:
+                        raise ValueError(f"pooling failed at depth {depth}: {exc}") from exc
+                nodes[path] = u
 
     # one window call per node, in node order: perfbench's tracer assigns
     # window depths by call order
@@ -273,7 +265,7 @@ def strided_block_max(f: SignalGrid, block: int) -> SignalGrid:
     if any(n == 0 for n in n_out):
         raise ValueError(f"grid {f.shape} is smaller than the pooling block {block}")
     crop = tuple(slice(0, n * block) for n in n_out)
-    maxima = _block_maxima(np.abs(f.values[crop]), n_out)
+    maxima = _block_maxima(np.abs(f.values[crop]), (block,) * f.plate.dim)
     kept = tuple(
         s * (n * block) / total
         for s, n, total in zip(f.plate.side_lengths, n_out, f.plate.samples_per_axis)

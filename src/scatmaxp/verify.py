@@ -25,7 +25,7 @@ from .grid import (
     translate_with_plate,
     unit_plate,
 )
-from .pooling import AdmissibilityError, PlatePartition, max_pool, min_admissible_factor
+from .pooling import AdmissibilityError, max_pool, min_admissible_factor
 from .scattering import PoolConfig, ScatteringTree, compute_tree, propagate_one
 
 EXACT_RTOL = 1e-12
@@ -150,14 +150,11 @@ def check_contraction(trials: int, config: VerifyConfig = VerifyConfig()) -> Ver
     report = VerificationReport("pooling_contraction", dict(
         grid=config.grid, block_samples=config.pool.block_samples, seed=config.seed, trials=trials,
         allowed_factors=(S,)))  # a 1-tuple so report bytes match earlier runs
-    # every draw lies on the same centered plate
-    partition = PlatePartition(unit_plate(config.grid, centered=True),
-                               config.pool.blocks_for(config.grid))
     for t in range(trials):
         family = FAMILIES[t % len(FAMILIES)]
         f = random_signal(rng, family, config.grid)
         try:
-            pooled = max_pool(f, partition, S, "strict")
+            pooled = max_pool(f, config.pool.block_samples, S, "strict")
         except AdmissibilityError:
             report.skip(f"trial{t:04d}", f"{family}:no-admissible-S", min_admissible_factor(f), S)
             continue
@@ -179,16 +176,17 @@ def check_commutation(trials: int, config: VerifyConfig = VerifyConfig()) -> Ver
     report = VerificationReport("pooling_translation_commutation", dict(
         grid=config.grid, block_samples=config.pool.block_samples, S=S, seed=config.seed, trials=trials))
     origin_tol = 0.0 if math.frexp(S)[0] == 0.5 else EXACT_RTOL  # dividing by 2^k is exact
-    blocks = config.pool.blocks_for(config.grid)
+    size = config.pool.block_samples
+    blocks = [n // size for n in config.grid]  # sub-plates per axis
     for t in range(trials):
         family = FAMILIES[t % len(FAMILIES)]
         f = random_signal(rng, family, config.grid)
-        part = PlatePartition(f.plate, blocks)
+        pooled = max_pool(f, size, S, "off")  # names an untiled grid before c divides by blocks
         ks = [int(rng.integers(-(b // 2), b // 2 + 1)) if t else 0 for b in blocks]  # trial 0: c = 0
-        c = tuple(k * w for k, w in zip(ks, part.block_side_lengths))
+        c = tuple(i * (s / b) for i, s, b in zip(ks, f.plate.side_lengths, blocks))
         moved = translate_with_plate(f, c)
-        lhs = max_pool(moved, PlatePartition(moved.plate, blocks), S, "off")
-        rhs = translate_with_plate(max_pool(f, part, S, "off"), tuple(x / S for x in c))
+        lhs = max_pool(moved, size, S, "off")
+        rhs = translate_with_plate(pooled, tuple(x / S for x in c))
         if (lhs.plate.side_lengths, lhs.shape) == (rhs.plate.side_lengths, rhs.shape):
             value_gap = float(np.max(np.abs(lhs.values - rhs.values)))
             origin_gap = max(abs(a - b) / h for a, b, h in

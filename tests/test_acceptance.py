@@ -14,7 +14,7 @@ import pytest
 
 from scatmaxp.filterbank import BankSpec, build_morlet_bank, build_partition_bank, frame_defect
 from scatmaxp.grid import SignalGrid, convolve, unit_plate
-from scatmaxp.pooling import PlatePartition, max_pool
+from scatmaxp.pooling import max_pool
 from scatmaxp.scattering import (
     compute_tree,
     count_paths,
@@ -161,11 +161,10 @@ def test_criterion_7_oracle_equivalence():
         assert worst <= 1e-10
 
         pool_plate = unit_plate((16, 16))
-        part = PlatePartition(pool_plate, (8, 8))
         for case in range(100):
             family = "uniform" if case % 2 == 0 else "spikes"
             f = SignalGrid(pool_plate, random_signal(rng, family, (16, 16)).values)
-            pooled = max_pool(f, part, 2.0, "off")
+            pooled = max_pool(f, 2, 2.0, "off")
             oracle = nested_loop_block_max(f.values, (8, 8), pooled.shape)
             assert np.array_equal(pooled.values.real, oracle)
             assert pooled.values.dtype == np.float64

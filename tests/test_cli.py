@@ -214,6 +214,17 @@ class TestScatterCommand:
         assert "block_samples must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pooling_factor_below_one_fails_before_running(self, tmp_path, capsys):
+        # every command rejects S < 1 while building its pooling set-up, in every mode
+        image = write_test_pgm(tmp_path / "img.pgm")
+        out = tmp_path / "out"
+        for argv in (["scatter", str(image), "--mode", "plain"],
+                     ["scatter", str(image), "--mode", "maxp"],
+                     ["verify", "--grid", "16", "--suites", "contraction"]):
+            assert main([*argv, "--pool-factor", "0.5", "--out", str(out)]) == EXIT_FAIL, argv
+            assert "error: pooling factor must be >= 1, got 0.5" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_csv_export(self, tmp_path):
         image = write_test_pgm(tmp_path / "img.pgm")
         out = tmp_path / "coeffs"

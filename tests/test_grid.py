@@ -1,5 +1,6 @@
 """Plate/signal primitives: norms, translations, circular convolution, file formats."""
 
+import re
 import warnings
 
 import numpy as np
@@ -370,6 +371,29 @@ class TestFileFormats:
         extra.write_bytes(b"SGRID 1 0.0 1.0 4 7\n" + b"\x00" * 16 * 4)
         with pytest.raises(ValueError, match="malformed SGRID header"):
             read_sgrid(extra)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"SGRID 3 0 0 0 1 1 1 2 2 2", "plate dimension must be 1 or 2, got 3"),
+        (b"SGRID 1 0.0 1.0 -4", "samples_per_axis must be >= 1, got (-4,)"),
+        (b"SGRID 1 0.0 0.0 8", "side_lengths must be positive, got (0.0,)"),
+        (b"SGRID 1 0.0 nan 8", "malformed SGRID header"),
+        (b"SGRID 1 inf 1.0 8", "malformed SGRID header"),
+    ])
+    def test_sgrid_rejects_impossible_plates_naming_the_file(self, tmp_path, header, message):
+        bad = tmp_path / "bad.sgrid"
+        bad.write_bytes(header + b"\n" + b"\x00" * 16 * 8)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+            read_sgrid(bad)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"P5\n0 0\n255\n", "samples_per_axis must be >= 1, got (0, 0)"),
+        (b"P5\n-2 -2\n255\n", "samples_per_axis must be >= 1, got (-2, -2)"),
+    ])
+    def test_pgm_rejects_empty_and_negative_sizes_naming_the_file(self, tmp_path, header, message):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(header + b"\x00" * 4)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+            read_pgm(bad)
 
     def test_pgm_ingestion(self, tmp_path):
         pixels = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20

@@ -1,4 +1,4 @@
-"""Plate partitions, admissibility thresholds, and the max-pooling operator."""
+"""Admissibility thresholds and the max-pooling operator."""
 
 import warnings
 
@@ -12,7 +12,6 @@ from scatmaxp.grid import Plate, SignalGrid, l2_norm, linf_norm, translate_with_
 from scatmaxp.pooling import (
     AdmissibilityError,
     AdmissibilityWarning,
-    PlatePartition,
     max_pool,
     min_admissible_factor,
 )
@@ -55,7 +54,7 @@ def nested_loop_block_max(values, blocks_per_axis, out_samples):
 
 @st.composite
 def pooling_set_ups(draw, one_cell_per_sub_plate=False):
-    """A 1-D or 2-D signal on the centered unit plate with a partition and a pooling factor S.
+    """A 1-D or 2-D signal on the centered unit plate, its sub-plate size and a pooling factor S.
 
     Every sub-plate holds S * m samples per axis, so its image covers m whole
     output cells per axis; ``one_cell_per_sub_plate`` fixes m = 1.
@@ -70,7 +69,7 @@ def pooling_set_ups(draw, one_cell_per_sub_plate=False):
     offset = draw(st.floats(0.0, 2.0), label="offset")
     f = SignalGrid(unit_plate(shape, centered=True), values + offset)
     assume(l2_norm(f) > 0.0)  # the zero signal has no admissibility threshold
-    return f, PlatePartition(f.plate, blocks), float(S)
+    return f, tuple(S * m for m in cells), float(S)
 
 
 def complex_set_up():
@@ -78,35 +77,7 @@ def complex_set_up():
     rng = np.random.default_rng(1)
     plate = unit_plate((12, 8), centered=True)
     values = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
-    return SignalGrid(plate, values), PlatePartition(plate, (3, 2)), 2.0
-
-
-class TestPartition:
-    def test_uniform_split(self):
-        part = PlatePartition(unit_plate((4, 4)), (2, 2))
-        assert part.n_blocks == 4
-        assert part.samples_per_block == (2, 2)
-        assert part.block_side_lengths == (0.5, 0.5)
-
-    def test_identity_partition(self):
-        plate = unit_plate((6, 6))
-        part = PlatePartition(plate, (1, 1))
-        assert part.n_blocks == 1
-        assert part.sub_plate((0, 0)) == plate
-
-    def test_indivisible_split_rejected(self):
-        with pytest.raises(ValueError, match="divisible"):
-            PlatePartition(unit_plate((6,)), (4,))
-
-    def test_sub_plates_are_translates_tiling_the_parent(self):
-        part = PlatePartition(Plate((-1.0, 0.0), (2.0, 1.0), (8, 4)), (4, 2))
-        first = part.sub_plate((0, 0))
-        for i0 in range(4):
-            for i1 in range(2):
-                sub = part.sub_plate((i0, i1))
-                assert sub.side_lengths == first.side_lengths
-                assert sub.samples_per_axis == first.samples_per_axis
-        assert part.sub_plate((3, 1)).origin == (0.5, 0.5)
+    return SignalGrid(plate, values), (4, 4), 2.0
 
 
 class TestAdmissibilityThreshold:
@@ -141,7 +112,7 @@ class TestAdmissibilityThreshold:
         assert min_admissible_factor(f) == 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", AdmissibilityWarning)
-            pooled = max_pool(f, PlatePartition(f.plate, (2,)), 2.0, "warn")
+            pooled = max_pool(f, 2, 2.0, "warn")
         assert np.array_equal(pooled.values, np.full(2, level))
 
 
@@ -149,13 +120,13 @@ class TestMaxPool:
     def test_block_pattern_example(self):
         values = np.kron(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones((2, 2)))
         f = SignalGrid(unit_plate((4, 4)), values)
-        pooled = max_pool(f, PlatePartition(f.plate, (2, 2)), 2.0, "off")
+        pooled = max_pool(f, 2, 2.0, "off")
         assert np.array_equal(pooled.values.real, [[1.0, 2.0], [3.0, 4.0]])
         assert pooled.plate == Plate((0.0, 0.0), (0.5, 0.5), (2, 2))
 
     def test_constant_pools_to_constant_on_half_plate(self):
         f = SignalGrid(unit_plate((8, 8)), np.full((8, 8), 0.75))
-        pooled = max_pool(f, PlatePartition(f.plate, (4, 4)), 2.0, "off")
+        pooled = max_pool(f, 2, 2.0, "off")
         assert np.all(pooled.values == 0.75)
         assert pooled.plate.side_lengths == (0.5, 0.5)
 
@@ -163,9 +134,10 @@ class TestMaxPool:
     @given(set_up=pooling_set_ups())
     @example(set_up=complex_set_up())
     def test_matches_nested_loop_oracle_bit_exactly(self, set_up):
-        f, part, S = set_up
-        pooled = max_pool(f, part, S, "off")
-        oracle = nested_loop_block_max(f.values, part.blocks_per_axis, pooled.shape)
+        f, sizes, S = set_up
+        pooled = max_pool(f, sizes, S, "off")
+        blocks = tuple(n // k for n, k in zip(f.shape, sizes))
+        oracle = nested_loop_block_max(f.values, blocks, pooled.shape)
         assert pooled.values.dtype == np.float64
         assert np.array_equal(pooled.values, oracle)
 
@@ -173,8 +145,7 @@ class TestMaxPool:
         values = np.random.default_rng(6).random((8, 12))
         values[1, 2] = values[6, 11] = np.nan  # neither is the first sample of its block
         f = SignalGrid(unit_plate((8, 12)), values)
-        part = PlatePartition(f.plate, (2, 3))  # 4x4-sample blocks, 2x2 output cells each
-        pooled = max_pool(f, part, 2.0, "off")
+        pooled = max_pool(f, 4, 2.0, "off")  # 2x3 sub-plates, 2x2 output cells each
         expected = nested_loop_block_max(np.nan_to_num(values, nan=0.0), (2, 3), pooled.shape)
         has_nan = nested_loop_block_max(np.isnan(values) * 1.0, (2, 3), pooled.shape) == 1.0
         assert has_nan.sum() == 8
@@ -193,7 +164,7 @@ class TestMaxPool:
     def test_output_is_piecewise_constant_per_sub_plate(self):
         rng = np.random.default_rng(2)
         f = SignalGrid(unit_plate((16,)), rng.random(16))
-        pooled = max_pool(f, PlatePartition(f.plate, (4,)), 2.0, "off")
+        pooled = max_pool(f, 4, 2.0, "off")
         assert pooled.shape == (8,)
         reshaped = pooled.values.reshape(4, 2)
         assert np.all(reshaped[:, :1] == reshaped)
@@ -203,30 +174,27 @@ class TestMaxPool:
         f = rng.random((8, 8))
         g = f + rng.random((8, 8))
         plate = unit_plate((8, 8))
-        part = PlatePartition(plate, (4, 4))
-        pf = max_pool(SignalGrid(plate, f), part, 2.0, "off")
-        pg = max_pool(SignalGrid(plate, g), part, 2.0, "off")
+        pf = max_pool(SignalGrid(plate, f), 2, 2.0, "off")
+        pg = max_pool(SignalGrid(plate, g), 2, 2.0, "off")
         assert np.all(pf.values.real <= pg.values.real)
 
     def test_standard_pooling_contracts_l2(self):
         # one output sample per 2x2-sample block: max^2 <= sum of squares per block
         rng = np.random.default_rng(4)
         plate = unit_plate((16, 16))
-        part = PlatePartition(plate, (8, 8))
         for _ in range(500):
             f = SignalGrid(plate, rng.random((16, 16)))
-            pooled = max_pool(f, part, 2.0, "off")
+            pooled = max_pool(f, 2, 2.0, "off")
             assert l2_norm(pooled) <= l2_norm(f) * (1 + 1e-12)
 
     def test_pool_commutes_with_plate_translation(self):
-        # 8x8 signal, 2x2 sub-plates, S = 2, c = one block width: bit-exact equality
+        # 8x8 signal, 4x4-sample sub-plates, S = 2, c = one sub-plate width: bit-exact equality
         rng = np.random.default_rng(5)
         f = SignalGrid(unit_plate((8, 8), centered=True), rng.random((8, 8)))
-        blocks = (2, 2)
         c = (0.5, 0.0)
         moved = translate_with_plate(f, c)
-        lhs = max_pool(moved, PlatePartition(moved.plate, blocks), 2.0, "off")
-        pooled = max_pool(f, PlatePartition(f.plate, blocks), 2.0, "off")
+        lhs = max_pool(moved, 4, 2.0, "off")
+        pooled = max_pool(f, 4, 2.0, "off")
         rhs = translate_with_plate(pooled, (0.25, 0.0))
         assert lhs.plate == rhs.plate
         assert np.array_equal(lhs.values, rhs.values)
@@ -235,67 +203,70 @@ class TestMaxPool:
         values = np.zeros((8, 8))
         values[0, 0] = 1.0  # spike: threshold (1 * 1^2 / (1/64))^(1/2) = 8 > 2
         f = SignalGrid(unit_plate((8, 8)), values)
-        part = PlatePartition(f.plate, (2, 2))  # 4-sample blocks: 2 output cells per axis
         with pytest.raises(AdmissibilityError, match="threshold"):
-            max_pool(f, part, 2.0, "strict")
+            max_pool(f, 4, 2.0, "strict")  # 4-sample blocks: 2 output cells per axis
         # 2-sample blocks with S = 2 map each sub-plate to one cell: no check, no raise
-        pooled = max_pool(f, PlatePartition(f.plate, (4, 4)), 2.0, "strict")
+        pooled = max_pool(f, 2, 2.0, "strict")
         assert l2_norm(pooled) <= l2_norm(f)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            max_pool(f, part, 2.0, "warn")
+            max_pool(f, 4, 2.0, "warn")
         assert any(issubclass(w.category, AdmissibilityWarning) for w in caught)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            max_pool(f, part, 2.0, "off")  # no warning raised
+            max_pool(f, 4, 2.0, "off")  # no warning raised
 
     def test_zero_signal_pools_without_admissibility_check(self):
         f = SignalGrid(unit_plate((8, 8)), np.zeros((8, 8)))
-        pooled = max_pool(f, PlatePartition(f.plate, (4, 4)), 2.0, "strict")
+        pooled = max_pool(f, 2, 2.0, "strict")
         assert np.all(pooled.values == 0)
 
     def test_geometry_validation(self):
         f = SignalGrid(unit_plate((8, 8)), np.ones((8, 8)))
-        other = PlatePartition(unit_plate((8, 8), centered=True), (4, 4))
-        with pytest.raises(ValueError, match="different plate"):
-            max_pool(f, other, 2.0, "off")
-        part = PlatePartition(f.plate, (4, 4))
+        with pytest.raises(ValueError, match="expected 2 sub-plate sizes, got 1"):
+            max_pool(f, (2,), 2.0, "off")
+        with pytest.raises(ValueError, match="sub-plate sizes must be >= 1"):
+            max_pool(f, (2, 0), 2.0, "off")
         with pytest.raises(ValueError, match=">= 1"):
-            max_pool(f, part, 0.5, "off")
+            max_pool(f, 2, 0.5, "off")
         with pytest.raises(ValueError, match="evenly"):
-            max_pool(f, part, 3.0, "off")
+            max_pool(f, 2, 3.0, "off")
         with pytest.raises(ValueError, match="whole cells"):
-            max_pool(f, PlatePartition(f.plate, (8, 8)), 4.0, "off")
+            max_pool(f, 1, 4.0, "off")
+
+    def test_indivisible_split_rejected(self):
+        with pytest.raises(ValueError, match="divisible"):
+            max_pool(SignalGrid(unit_plate((6,)), np.ones(6)), 4, 1.0, "off")
 
 
 class TestMaxPoolProperties:
-    """max_pool over random 1-D and 2-D shapes, block counts and factors S."""
+    """max_pool over random 1-D and 2-D shapes, sub-plate sizes and factors S."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(set_up=pooling_set_ups(one_cell_per_sub_plate=True))
     def test_one_output_cell_per_sub_plate_contracts_every_signal(self, set_up):
         # each sub-plate of S^d cells maps to one cell of the same volume: max^2 <= sum of squares
-        f, part, S = set_up
-        assert l2_norm(max_pool(f, part, S, "off")) <= l2_norm(f) * (1 + 1e-12)
+        f, sizes, S = set_up
+        assert l2_norm(max_pool(f, sizes, S, "off")) <= l2_norm(f) * (1 + 1e-12)
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(set_up=pooling_set_ups())
     def test_contracts_when_S_meets_the_sup_norm_bound(self, set_up):
         # ||P f||^2 <= |D| ||f||_inf^2 / S^d, so S^d >= |D| ||f||_inf^2 / ||f||_2^2 contracts
-        f, part, S = set_up
+        f, sizes, S = set_up
         assume(S ** f.plate.dim >= f.plate.volume * (linf_norm(f) / l2_norm(f)) ** 2)
-        assert l2_norm(max_pool(f, part, S, "off")) <= l2_norm(f) * (1 + 1e-12)
+        assert l2_norm(max_pool(f, sizes, S, "off")) <= l2_norm(f) * (1 + 1e-12)
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(set_up=pooling_set_ups())
     @example(set_up=(SignalGrid(unit_plate((4,)), np.array([1.0, 0.1, 0.1, 0.1])),
-                     PlatePartition(unit_plate((4,)), (1,)), 2.0))
+                     (4,), 2.0))
     def test_admissible_factor_never_raises_the_norm(self, set_up):
         # whatever strict mode lets through contracts: one cell per sub-plate without a
         # check, more cells only when S exceeds the squared sup-norm threshold
-        f, part, S = set_up
+        f, sizes, S = set_up
         try:
-            pooled = max_pool(f, part, S, "strict")
+            pooled = max_pool(f, sizes, S, "strict")
         except AdmissibilityError:
             assume(False)
         assert l2_norm(pooled) <= l2_norm(f) * (1 + 1e-12)
@@ -303,14 +274,15 @@ class TestMaxPoolProperties:
     @settings(max_examples=150, deadline=None, database=None)
     @given(set_up=pooling_set_ups(), data=st.data())
     def test_commutes_with_whole_sub_plate_translations(self, set_up, data):
-        f, part, S = set_up
+        f, sizes, S = set_up
+        blocks = tuple(n // k for n, k in zip(f.shape, sizes))
         # moves of up to half the plate keep the origin of R^d inside the moved plate
-        ks = data.draw(st.tuples(*[st.integers(-(b // 2), b // 2) for b in part.blocks_per_axis]),
+        ks = data.draw(st.tuples(*[st.integers(-(b // 2), b // 2) for b in blocks]),
                        label="sub-plates moved")
-        c = tuple(k * w for k, w in zip(ks, part.block_side_lengths))
+        c = tuple(k * (s / b) for k, s, b in zip(ks, f.plate.side_lengths, blocks))
         moved = translate_with_plate(f, c)
-        lhs = max_pool(moved, PlatePartition(moved.plate, part.blocks_per_axis), S, "off")
-        rhs = translate_with_plate(max_pool(f, part, S, "off"), tuple(x / S for x in c))
+        lhs = max_pool(moved, sizes, S, "off")
+        rhs = translate_with_plate(max_pool(f, sizes, S, "off"), tuple(x / S for x in c))
         assert np.array_equal(lhs.values, rhs.values)
         assert lhs.plate.side_lengths == rhs.plate.side_lengths
         assert lhs.plate.samples_per_axis == rhs.plate.samples_per_axis

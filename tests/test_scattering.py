@@ -16,7 +16,7 @@ from scatmaxp.filterbank import (
     reflect_frequencies,
 )
 from scatmaxp.grid import SignalGrid, convolve, l2_norm, translate_in_plate, unit_plate
-from scatmaxp.pooling import PlatePartition, max_pool
+from scatmaxp.pooling import max_pool
 from scatmaxp.scattering import (
     PoolConfig,
     compute_tree,
@@ -211,6 +211,11 @@ class TestComputeTree:
             compute_tree(random_signal((8, 8)), bank, "maxp", 4,
                          pool_cfg=PoolConfig(2, 2.0, "off"))
 
+    def test_evaluator_error_is_not_blamed_on_pooling(self):
+        bank = build_morlet_bank(1, 1, (8, 8))
+        with pytest.raises(ValueError, match="^unknown convolution method 'bogus'$"):
+            compute_tree(random_signal((8, 8)), bank, "maxp", 1, conv_method="bogus")
+
     def test_unknown_admissibility_mode_rejected_when_configured(self):
         # at construction, so a plain or naivep run rejects it as a maxp run does
         with pytest.raises(ValueError, match="unknown admissibility mode 'wran'"):
@@ -392,8 +397,7 @@ class TestSpectralEngine:
             parent = tree.nodes[path[:-1]]
             expected = propagate_one(parent, path[-1], bank32)
             if mode == "maxp":
-                partition = PlatePartition(parent.plate, cfg.blocks_for(parent.shape))
-                expected = max_pool(expected, partition, cfg.factor, cfg.admissibility)
+                expected = max_pool(expected, cfg.block_samples, cfg.factor, cfg.admissibility)
             assert node.plate == expected.plate
             assert np.array_equal(node.values, expected.values)
 

@@ -7,7 +7,7 @@ import pytest
 
 from scatmaxp.filterbank import BankSpec, littlewood_paley_sum
 from scatmaxp.grid import SignalGrid, l2_norm, unit_plate
-from scatmaxp.pooling import PlatePartition, max_pool
+from scatmaxp.pooling import max_pool
 from scatmaxp import filterbank
 from scatmaxp.scattering import PoolConfig
 from scatmaxp.verify import (
@@ -85,7 +85,7 @@ class TestContraction:
     def test_constant_signal_ratio_is_S_to_minus_d_over_2(self):
         # ||P(c)||_2 / ||c||_2 = S^(-d/2): plate volume shrinks by S^d, values equal
         f = SignalGrid(unit_plate((16, 16)), np.full((16, 16), 0.6))
-        pooled = max_pool(f, PlatePartition(f.plate, (8, 8)), 2.0, "off")
+        pooled = max_pool(f, 2, 2.0, "off")
         assert l2_norm(pooled) / l2_norm(f) == pytest.approx(0.5, rel=1e-12)
 
     def test_spike_signal_still_contracts_under_standard_pooling(self):
@@ -96,10 +96,10 @@ class TestContraction:
         values[2, 4] = 0.4
         values[3, 5] = 0.8  # same 2x2-sample block as the spike above
         f = SignalGrid(unit_plate((16, 16)), values)
-        pooled = max_pool(f, PlatePartition(f.plate, (8, 8)), 2.0, "off")
+        pooled = max_pool(f, 2, 2.0, "off")
         assert l2_norm(pooled) < l2_norm(f)
         lone = SignalGrid(unit_plate((16, 16)), np.eye(16) * 0.5)
-        lone_pooled = max_pool(lone, PlatePartition(lone.plate, (8, 8)), 2.0, "off")
+        lone_pooled = max_pool(lone, 2, 2.0, "off")
         assert l2_norm(lone_pooled) <= l2_norm(lone) * (1 + 1e-12)
 
     def test_inadmissible_draws_are_skipped_not_failed(self):
