@@ -22,7 +22,7 @@ from .filterbank import build_morlet_bank  # not called here; perfbench/tracing.
 from .grid import SignalGrid, read_pgm, read_sgrid, unit_plate, write_sgrid
 from .pooling import AdmissibilityWarning
 from .scattering import MODES, PATH_POLICIES, PoolConfig, check_mode, compute_tree, feature_summary
-from .verify import VerifyConfig, default_suites
+from .verify import SUITES, VerifyConfig, default_suites
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -55,7 +55,7 @@ class RunConfig:
     format: str = "sgrid-manifest"
     out: str = "scatmaxp-out"
     seed: int = VerifyConfig.seed
-    suites: str = "contraction,commutation,energy,decay,equivariance"
+    suites: str = ",".join(SUITES)
     trials_contraction: int = 1000
     trials_commutation: int = 200
     trials_equivariance: int = 50
@@ -335,7 +335,8 @@ def cmd_bench(cfg: RunConfig) -> int:
         plain_n = results["plain"]["propagated_samples_per_signal"]
         maxp_n = results["maxp"]["propagated_samples_per_signal"]
         ok = maxp_n < plain_n or cfg.depth == 0
-        print(f"maxp propagates {maxp_n} < plain {plain_n}: {'ok' if ok else 'VIOLATED'}")
+        relation = "<" if maxp_n < plain_n else ">="
+        print(f"maxp propagates {maxp_n} {relation} plain {plain_n}: {'ok' if ok else 'VIOLATED'}")
         if not ok:
             status = EXIT_FAIL
     out = FsPath(cfg.out)
@@ -392,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--grid", help="grid samples, N or N0xN1")
     p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--suites", help="comma list: contraction,commutation,energy,decay,equivariance")
+    p.add_argument("--suites", help=f"comma list: {','.join(SUITES)}")
     p.add_argument("--depth", type=int, help=f"cascade depth (default {VerifyConfig.max_depth})")
     p.add_argument("--pool-blocks", dest="pool_blocks", type=int)
     p.add_argument("--pool-factor", dest="pool_factor", type=float)

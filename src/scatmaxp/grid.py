@@ -30,6 +30,9 @@ class Plate:
             raise ValueError(f"plate dimension must be 1 or 2, got {d}")
         if len(self.side_lengths) != d or len(self.samples_per_axis) != d:
             raise ValueError("origin, side_lengths and samples_per_axis must share one dimension")
+        if not all(map(isfinite, self.origin + self.side_lengths)):
+            raise ValueError(
+                f"origin and side_lengths must be finite, got {self.origin} and {self.side_lengths}")
         if any(s <= 0 for s in self.side_lengths):
             raise ValueError(f"side_lengths must be positive, got {self.side_lengths}")
         if any(n < 1 for n in self.samples_per_axis):

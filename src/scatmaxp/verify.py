@@ -31,6 +31,7 @@ from .scattering import PoolConfig, ScatteringTree, compute_tree, propagate_one
 EXACT_RTOL = 1e-12
 DECAY_SLACK = 1.1
 FAMILIES = ("uniform", "spikes")  # the random_signal families the suites alternate
+SUITES = ("contraction", "commutation", "energy", "decay", "equivariance")
 
 
 @dataclass(frozen=True)
@@ -122,10 +123,21 @@ def random_signal(rng: np.random.Generator, family: str, shape: tuple[int, ...])
     return SignalGrid(plate, values)
 
 
-def _certified_pool(config: VerifyConfig) -> PoolConfig:
-    """The cascade suites' pooling: admissibility check off unless strict, which still raises."""
+def _draws(rng: np.random.Generator, count: int, shape: tuple[int, ...], families=FAMILIES):
+    """Yield (i, family, signal) for ``count`` inputs, cycling through ``families``."""
+    if count < 1:
+        raise ValueError(f"need at least one input, got {count}")
+    for i in range(count):
+        family = families[i % len(families)]
+        yield i, family, random_signal(rng, family, shape)
+
+
+def _certified_tree(f: SignalGrid, bank: FilterBank, config: VerifyConfig) -> ScatteringTree:
+    """The cascade suites' full-path maxp tree: admissibility check off unless strict, which still raises."""
     strict = config.pool.admissibility == "strict"
-    return replace(config.pool, admissibility="strict" if strict else "off")
+    pool = replace(config.pool, admissibility="strict" if strict else "off")
+    return compute_tree(f, bank, mode="maxp", max_depth=config.max_depth, policy="full",
+                        pool_cfg=pool)
 
 
 def _realized_frame_defect(bank: FilterBank, tree: ScatteringTree) -> float:
@@ -143,16 +155,12 @@ def _realized_frame_defect(bank: FilterBank, tree: ScatteringTree) -> float:
 
 def check_contraction(trials: int, config: VerifyConfig = VerifyConfig()) -> VerificationReport:
     """Pooling never expands the L2 norm when the pooling factor is admissible."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
     rng = np.random.default_rng(config.seed)
     S = config.pool.factor
     report = VerificationReport("pooling_contraction", dict(
         grid=config.grid, block_samples=config.pool.block_samples, seed=config.seed, trials=trials,
         allowed_factors=(S,)))  # a 1-tuple so report bytes match earlier runs
-    for t in range(trials):
-        family = FAMILIES[t % len(FAMILIES)]
-        f = random_signal(rng, family, config.grid)
+    for t, family, f in _draws(rng, trials, config.grid):
         try:
             pooled = max_pool(f, config.pool.block_samples, S, "strict")
         except AdmissibilityError:
@@ -178,9 +186,7 @@ def check_commutation(trials: int, config: VerifyConfig = VerifyConfig()) -> Ver
     origin_tol = 0.0 if math.frexp(S)[0] == 0.5 else EXACT_RTOL  # dividing by 2^k is exact
     size = config.pool.block_samples
     blocks = [n // size for n in config.grid]  # sub-plates per axis
-    for t in range(trials):
-        family = FAMILIES[t % len(FAMILIES)]
-        f = random_signal(rng, family, config.grid)
+    for t, family, f in _draws(rng, trials, config.grid):
         pooled = max_pool(f, size, S, "off")  # names an untiled grid before c divides by blocks
         ks = [int(rng.integers(-(b // 2), b // 2 + 1)) if t else 0 for b in blocks]  # trial 0: c = 0
         c = tuple(i * (s / b) for i, s, b in zip(ks, f.plate.side_lengths, blocks))
@@ -207,8 +213,7 @@ def check_energy_monotonic(f: SignalGrid, config: VerifyConfig = VerifyConfig())
     is recorded as skipped, with its measured energy and bound.
     """
     bank = config.bank.build(f.shape)
-    tree = compute_tree(f, bank, mode="maxp", max_depth=config.max_depth, policy="full",
-                        pool_cfg=_certified_pool(config))
+    tree = _certified_tree(f, bank, config)
     eps = _realized_frame_defect(bank, tree)
     report = VerificationReport(
         "layer_energy_monotonicity",
@@ -256,6 +261,8 @@ def check_invariance_decay(
     f: SignalGrid, c: tuple[float, ...], config: VerifyConfig = VerifyConfig()
 ) -> VerificationReport:
     """Output differences under plate translation decay like |c|^2 B^2 / S^(2m)."""
+    bank = config.bank.build(f.shape)
+    tree_f = _certified_tree(f, bank, config)  # names an untiled grid before a misaligned shift
     spacing = f.plate.spacing[0]
     S = config.pool.factor
     for x in c:
@@ -271,15 +278,10 @@ def check_invariance_decay(
                     f"shift component {x} is not sub-plate-aligned at depth {m}"
                 )
             shift /= S
-    bank = config.bank.build(f.shape)
     B = theorem_constant_B(bank, spacing=spacing)
     c_norm = math.sqrt(sum(x * x for x in c))
     energy = l2_norm(f) ** 2
-    shifted = translate_with_plate(f, c)
-    kwargs = dict(mode="maxp", max_depth=config.max_depth, policy="full",
-                  pool_cfg=_certified_pool(config))
-    tree_f = compute_tree(f, bank, **kwargs)
-    tree_g = compute_tree(shifted, bank, **kwargs)
+    tree_g = _certified_tree(translate_with_plate(f, c), bank, config)
     report = VerificationReport(
         "translation_invariance_decay",
         dict(config.bank.summary(), grid=config.grid, seed=config.seed, B=B, S=S, c=c,
@@ -320,9 +322,7 @@ def check_shift_equivariance_plain(
              conv_method="direct", trials=trials),
     )
     axes = tuple(range(len(shape)))
-    for t in range(trials):
-        family = FAMILIES[t % len(FAMILIES)]
-        f = random_signal(rng, family, shape)
+    for t, family, f in _draws(rng, trials, shape):
         offsets = tuple(int(rng.integers(0, n)) for n in shape) if t else (0,) * len(shape)
         tree_f = compute_tree(f, bank, "plain", depth, "full", conv_method="direct")
         tree_s = compute_tree(translate_in_plate(f, offsets), bank, "plain", depth, "full",
@@ -362,46 +362,29 @@ def default_suites(config: VerifyConfig, trials: dict[str, int]):
     ``trials`` needs an entry only for the suites that are called.
     """
 
-    def run_energy():
-        _require_inputs(trials["energy"])
-        rng = np.random.default_rng(config.seed + 4)
+    def per_input(name, seed_offset, families, check):
+        rng = np.random.default_rng(config.seed + seed_offset)
         merged = None
-        for i in range(trials["energy"]):
-            f = random_signal(rng, FAMILIES[i % len(FAMILIES)], config.grid)
-            rep = check_energy_monotonic(f, config)
-            merged = _merge(merged, rep, i)
+        for i, _, f in _draws(rng, trials[name], config.grid, families):
+            merged = _merge(merged, check(f), i)
         return merged
 
-    def run_decay():
+    def decay(f):
+        # sub-plate-aligned at every pooled depth; whole at the last, as S divides block_samples
+        spacing, pool = f.plate.spacing[0], config.pool
+        step = spacing * pool.block_samples * pool.factor ** (config.max_depth - 1)
+        return check_invariance_decay(f, (step,) + (0.0,) * (f.plate.dim - 1), config)
+
+    return dict(zip(SUITES, (  # in SUITES order
+        lambda: check_contraction(trials["contraction"], config),
+        lambda: check_commutation(trials["commutation"], config),
+        lambda: per_input("energy", 4, FAMILIES, lambda f: check_energy_monotonic(f, config)),
         # uniform images only: the decay bound holds for any input, but the
         # suite's d_{m+1} <= d_m assertion is not a theorem and peaked spike
         # inputs measurably break it at m = 0 -> 1
-        _require_inputs(trials["decay"])
-        rng = np.random.default_rng(config.seed + 5)
-        plate = unit_plate(config.grid, centered=True)
-        # sub-plate-aligned at every pooled depth; whole at the last, as S divides block_samples
-        pool = config.pool
-        step = plate.spacing[0] * pool.block_samples * pool.factor ** (config.max_depth - 1)
-        c = (step,) + (0.0,) * (plate.dim - 1)
-        merged = None
-        for i in range(trials["decay"]):
-            f = random_signal(rng, "uniform", config.grid)
-            rep = check_invariance_decay(f, c, config)
-            merged = _merge(merged, rep, i)
-        return merged
-
-    return {
-        "contraction": lambda: check_contraction(trials["contraction"], config),
-        "commutation": lambda: check_commutation(trials["commutation"], config),
-        "energy": run_energy,
-        "decay": run_decay,
-        "equivariance": lambda: check_shift_equivariance_plain(trials["equivariance"], config),
-    }
-
-
-def _require_inputs(count: int) -> None:
-    if count < 1:
-        raise ValueError(f"need at least one input, got {count}")
+        lambda: per_input("decay", 5, ("uniform",), decay),
+        lambda: check_shift_equivariance_plain(trials["equivariance"], config),
+    )))
 
 
 def _merge(merged: VerificationReport | None, rep: VerificationReport, i: int) -> VerificationReport:

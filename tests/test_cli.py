@@ -24,7 +24,7 @@ from scatmaxp.cli import (
 )
 from scatmaxp.filterbank import BankSpec
 from scatmaxp.grid import SignalGrid, read_sgrid, unit_plate, write_sgrid
-from scatmaxp.verify import VerifyConfig
+from scatmaxp.verify import SUITES, VerifyConfig, default_suites
 
 
 def write_test_pgm(path, size=32, seed=0):
@@ -103,6 +103,23 @@ class TestConfigFile:
         cfg_file.write_text(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=message):
             load_config(str(cfg_file))
+
+    @pytest.mark.parametrize("text,message", [
+        ("equalize = maybe\n", "config key equalize: expected a boolean, got 'maybe'"),
+        ("j = 3\ndepth 2\n", ":2: expected key=value, got 'depth 2'"),
+    ])
+    def test_malformed_lines_are_named(self, tmp_path, text, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_config(str(cfg_file))
+
+    def test_unreadable_config_file_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        with pytest.raises(ValueError, match=f"cannot read config file {missing}"):
+            load_config(str(missing))
+        assert main(["bench", "--config", str(missing), "--out", str(tmp_path / "b")]) == EXIT_FAIL
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_unknown_bank_kind_fails_every_bank_command(self, tmp_path, capsys):
         # an unknown kind must not run a Morlet bank and echo the unknown name
@@ -387,16 +404,37 @@ class TestVerifyCommand:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
-    @pytest.mark.parametrize("suite", ["energy", "decay"])
+    COUNT_FLAGS = {"energy": "--energy-inputs", "decay": "--decay-inputs",
+                   "contraction": "--trials-contraction", "commutation": "--trials-commutation",
+                   "equivariance": "--trials-equivariance"}
+
+    @pytest.mark.parametrize("suite", ["energy", "decay", "contraction", "commutation",
+                                       "equivariance"])
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_input_count_below_one_is_a_named_precondition(self, tmp_path, capsys, suite, count):
         out = tmp_path / "verify"
-        code = main(["verify", *self.FAST, "--suites", suite, f"--{suite}-inputs", count,
+        code = main(["verify", *self.FAST, "--suites", suite, self.COUNT_FLAGS[suite], count,
                      "--out", str(out)])
         assert code == EXIT_FAIL
         assert (f"[FAIL        ] {suite}: precondition violated: "
                 f"need at least one input, got {count}") in capsys.readouterr().out
         assert not (out / f"{suite}.csv").exists()
+
+    def test_untiled_grid_is_named_before_the_decay_shift(self, tmp_path, capsys):
+        # the decay shift (12 samples) lands between cells at depth 3, but the
+        # real fault is that 3-sample sub-plates do not tile 16 samples
+        code = main(["verify", "--grid", "16", "--pool-blocks", "3", "--suites", "decay",
+                     "--decay-inputs", "1", "--out", str(tmp_path / "verify")])
+        assert code == EXIT_FAIL
+        assert ("[FAIL        ] decay: precondition violated: pooling failed at depth 1: "
+                "16 samples are not divisible into sub-plates of 3") in capsys.readouterr().out
+
+    def test_suite_names_are_stated_once(self, capsys):
+        assert RunConfig().suites == ",".join(SUITES)
+        assert list(default_suites(VerifyConfig(), {})) == list(SUITES)
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "contraction,commutation,energy,decay,equivariance" in capsys.readouterr().out
 
     def test_unknown_suite_rejected(self, tmp_path, capsys):
         code = main(["verify", "--suites", "astrology", "--out", str(tmp_path / "x")])
@@ -486,6 +524,20 @@ class TestBenchCommand:
         payload = json.loads((out / "bench.json").read_text())
         assert (payload["results"]["plain"]["propagated_samples_per_signal"]
                 == payload["results"]["maxp"]["propagated_samples_per_signal"])
+
+    @pytest.mark.filterwarnings("ignore::scatmaxp.pooling.AdmissibilityWarning")
+    def test_gate_prints_the_relation_that_holds(self, tmp_path, capsys):
+        # S = 1 pools without shrinking, so maxp propagates as many samples as plain
+        cfg_file = tmp_path / "bench.cfg"
+        cfg_file.write_text("pool_factor = 1\n")
+        argv = ["bench", "--grid", "16", "--batch", "1", "--modes", "plain,maxp"]
+        code = main([*argv, "--config", str(cfg_file), "--depth", "1",
+                     "--out", str(tmp_path / "s1")])
+        assert code == EXIT_FAIL
+        assert "maxp propagates 1280 >= plain 1280: VIOLATED" in capsys.readouterr().out
+        # depth 0 has no pooling, so the tie passes
+        assert main([*argv, "--depth", "0", "--out", str(tmp_path / "d0")]) == EXIT_PASS
+        assert "maxp propagates 256 >= plain 256: ok" in capsys.readouterr().out
 
     def test_subsample_outputs_key_reaches_the_trees(self, tmp_path):
         cfg_file = tmp_path / "bench.cfg"

@@ -72,6 +72,8 @@ class TestBankConstruction:
             build_morlet_bank(2, 0, (16, 16))
         with pytest.raises(ValueError, match="L must be 1"):
             build_morlet_bank(2, 4, (64,))
+        with pytest.raises(ValueError, match=r"grid must be 1- or 2-dimensional, got shape \(8, 8, 8\)"):
+            build_morlet_bank(1, 2, (8, 8, 8))
 
     @pytest.mark.parametrize("kind", ["Partition", "gabor", ""])
     def test_bank_spec_rejects_an_unknown_kind(self, kind):

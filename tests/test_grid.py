@@ -67,6 +67,30 @@ class TestPlate:
         with pytest.raises(ValueError):
             Plate((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2, 2, 2))
 
+    @pytest.mark.parametrize("origin, sides, samples, message", [
+        ((0.0, 0.0), (1.0,), (4, 4), "must share one dimension"),
+        ((np.nan,), (1.0,), (4,), "must be finite"),
+        ((0.0, -np.inf), (1.0, 1.0), (4, 4), "must be finite"),
+        ((0.0,), (np.inf,), (4,), "must be finite"),
+        ((0.0,), (np.nan,), (4,), "must be finite"),
+    ])
+    def test_invalid_geometry_is_named(self, origin, sides, samples, message):
+        with pytest.raises(ValueError, match=message):
+            Plate(origin, sides, samples)
+
+    def test_every_plate_round_trips_through_sgrid(self, tmp_path):
+        # a plate that write_sgrid can be handed has a header read_sgrid accepts
+        with pytest.raises(ValueError, match="must be finite"):
+            SignalGrid(Plate((np.nan,), (1.0,), (4,)), np.zeros(4))
+        f = SignalGrid(Plate((-1e300,), (1e-300,), (4,)), np.arange(4.0))
+        write_sgrid(f, tmp_path / "edge.sgrid")
+        g = read_sgrid(tmp_path / "edge.sgrid")
+        assert g.plate == f.plate and np.array_equal(g.values.real, f.values)
+
+    def test_unit_plate_takes_an_int_for_one_axis(self):
+        assert unit_plate(8) == Plate((0.0,), (1.0,), (8,))
+        assert unit_plate(8, centered=True) == Plate((-0.5,), (1.0,), (8,))
+
     def test_signal_shape_must_match(self):
         with pytest.raises(ValueError):
             SignalGrid(unit_plate((4, 4)), np.zeros((4, 2)))
@@ -196,6 +220,11 @@ class TestTranslateInPlate:
         with pytest.raises(ValueError):
             translate_in_plate(f, (4,))
 
+    def test_offset_count_must_match_the_dimension(self):
+        f = SignalGrid(unit_plate((4, 4)), np.ones((4, 4)))
+        with pytest.raises(ValueError, match="expected 2 offsets, got 1"):
+            translate_in_plate(f, (1,))
+
 
 class TestTranslateWithPlate:
     def test_zero_shift(self):
@@ -223,6 +252,11 @@ class TestTranslateWithPlate:
         f = SignalGrid(unit_plate((4,), centered=True), np.ones(4))
         with pytest.raises(ValueError, match="contain 0"):
             translate_with_plate(f, (0.75,))
+
+    def test_component_count_must_match_the_dimension(self):
+        f = SignalGrid(unit_plate((4, 4), centered=True), np.ones((4, 4)))
+        with pytest.raises(ValueError, match="expected 2 shift components, got 3"):
+            translate_with_plate(f, (0.0, 0.0, 0.0))
 
 
 class TestConvolve:
@@ -314,6 +348,12 @@ class TestCommonTorusDifference:
         f = SignalGrid(unit_plate((16,)), np.ones(16))
         g = SignalGrid(Plate((0.0,), (2.0,), (16,)), np.ones(16))
         with pytest.raises(ValueError):
+            l2_diff_on_common_torus(f, g)
+
+    def test_offset_between_cells_rejected(self):
+        f = SignalGrid(unit_plate((16,)), np.ones(16))
+        g = SignalGrid(Plate((0.01,), (1.0,), (16,)), np.ones(16))
+        with pytest.raises(ValueError, match="plate offset 0.01 is not a whole number of cells"):
             l2_diff_on_common_torus(f, g)
 
 
@@ -419,6 +459,12 @@ class TestFileFormats:
         longer.write_bytes(b"P5\n2 2\n255\n" + b"\x00" * 5)
         with pytest.raises(ValueError, match="trailing bytes after PGM payload"):
             read_pgm(longer)
+
+    def test_pgm_rejects_a_truncated_payload(self, tmp_path):
+        shorter = tmp_path / "short.pgm"
+        shorter.write_bytes(b"P5\n2 2\n255\n" + b"\x00" * 3)
+        with pytest.raises(ValueError, match=re.escape(f"{shorter}: truncated PGM payload")):
+            read_pgm(shorter)
 
     @pytest.mark.parametrize("header", [b"P5\nwide 2\n255\n", b"P5\n2 2.5\n255\n",
                                         b"P5\n2 2\n0xff\n"])

@@ -233,6 +233,8 @@ class TestMaxPool:
             max_pool(f, 2, 3.0, "off")
         with pytest.raises(ValueError, match="whole cells"):
             max_pool(f, 1, 4.0, "off")
+        with pytest.raises(ValueError, match="unknown admissibility mode 'loud'"):
+            max_pool(f, 2, 2.0, "loud")
 
     def test_indivisible_split_rejected(self):
         with pytest.raises(ValueError, match="divisible"):

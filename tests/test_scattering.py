@@ -367,6 +367,8 @@ class TestComputeTree:
             compute_tree(random_signal((16, 16)), bank32, "plain", 1)
         with pytest.raises(ValueError, match="dimensional"):
             bank32.realize((32,))
+        with pytest.raises(ValueError, match="max_depth must be >= 0, got -1"):
+            compute_tree(random_signal((32, 32)), bank32, "plain", -1)
 
     @pytest.mark.parametrize("mode,depth", [("plain", 0), ("plain", 1), ("maxp", 2)])
     def test_unknown_policy_rejected(self, bank32, mode, depth):

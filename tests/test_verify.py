@@ -1,6 +1,7 @@
 """Certification suites: contraction, commutation, energy, decay, equivariance."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from scatmaxp.verify import (
 )
 
 SMALL = VerifyConfig(grid=(32, 32), max_depth=2)
+GOLDEN_REPORTS = Path(__file__).parent / "golden" / "verify_reports.csv"
 
 
 class TestReportSemantics:
@@ -266,6 +268,14 @@ class TestInvarianceDecay:
         ratios = [bounds[m + 1] / bounds[m] for m in range(len(bounds) - 1)]
         np.testing.assert_allclose(ratios, 0.25, rtol=1e-12)
 
+    def test_untiled_grid_is_named_before_the_shift(self):
+        # the 12-sample shift lands between cells at depth 3, but 3-sample
+        # sub-plates never tile the 16-sample axis: that is the fault named
+        config = VerifyConfig(grid=(16, 16), pool=PoolConfig(3, 2.0))
+        f = random_signal(np.random.default_rng(6), "uniform", (16, 16))
+        with pytest.raises(ValueError, match="16 samples are not divisible into sub-plates of 3"):
+            check_invariance_decay(f, (12 / 16, 0.0), config)
+
     def test_misaligned_shift_rejected(self):
         f = random_signal(np.random.default_rng(6), "uniform", (32, 32))
         with pytest.raises(ValueError, match="sub-plate-aligned"):
@@ -326,3 +336,24 @@ class TestDefaultSuites:
         report = default_suites(config, {"energy": 2})["energy"]()
         assert any(c.name.startswith("input00_") for c in report.cases)
         assert any(c.name.startswith("input01_") for c in report.cases)
+
+    @pytest.mark.parametrize("check", [check_contraction, check_commutation,
+                                       check_shift_equivariance_plain])
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_trial_count_below_one_is_named(self, check, count):
+        with pytest.raises(ValueError, match=f"^need at least one input, got {count}$"):
+            check(count, SMALL)
+
+    def test_reports_reproduce_the_golden(self):
+        """Every case's name and status exactly, its measured value and bound at 1e-9."""
+        config = VerifyConfig(grid=(32, 32), max_depth=2,
+                              equivariance_grid=(16, 16), equivariance_depth=1)
+        trials = {"contraction": 8, "commutation": 4, "equivariance": 1,
+                  "energy": 1, "decay": 1}
+        golden = [tuple(line.split(",")) for line in GOLDEN_REPORTS.read_text().splitlines()[1:]]
+        measured = [(name, c.name, c.status, c.measured, c.bound)
+                    for name, run in default_suites(config, trials).items()
+                    for c in run().cases]
+        assert [row[:3] for row in measured] == [row[:3] for row in golden]
+        for row, (_, _, _, value, bound) in zip(measured, golden):
+            assert row[3:] == pytest.approx((float(value), float(bound)), rel=1e-9, abs=0), row[1]
