@@ -152,7 +152,7 @@ def apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _write_json(path: FsPath, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +160,9 @@ def _write_json(path: FsPath, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_filterbank(cfg: RunConfig) -> int:
+    bank = cfg.bank_spec().build(cfg.grid)
     out = FsPath(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    bank = cfg.bank_spec().build(cfg.grid)
     plate = unit_plate(cfg.grid)
     files = {}
     for index in bank.indices:
@@ -176,7 +176,7 @@ def cmd_filterbank(cfg: RunConfig) -> int:
         "J": bank.J,
         "L": bank.L,
         "grid": list(cfg.grid),
-        "morlet_params": asdict(bank.morlet_params),
+        "morlet_params": asdict(bank.morlet_params) if bank.morlet_params else None,
         "equalized": bank.equalized,
         "frame_defect": frame_defect(bank),
         "theorem_constant_B": theorem_constant_B(bank),
@@ -318,7 +318,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         }
         summary = feature_summary(tree, n_classes=cfg.n_classes)
         results[mode] = {
-            "signals_per_second": len(batch) / elapsed if elapsed > 0 else float("inf"),
+            "signals_per_second": len(batch) / elapsed,
             "seconds_total": elapsed,
             "propagated_samples_per_signal": tree.total_node_samples(),
             "per_layer_samples": per_layer,

@@ -36,6 +36,13 @@ class MorletParams:
     xi0: float = 3.0 * math.pi / 4.0
     slant: float | None = None  # None resolves to 4 / L at build time
 
+    def __post_init__(self):
+        for name, value in (("sigma0", self.sigma0), ("slant", self.slant)):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not math.isfinite(self.xi0):
+            raise ValueError(f"xi0 must be finite, got {self.xi0}")
+
     def resolve(self, L: int) -> "MorletParams":
         if self.slant is not None:
             return self
@@ -57,7 +64,7 @@ class FilterBank:
     grid_shape: tuple[int, ...]
     psi_hat: Mapping[FilterIndex, np.ndarray]
     phi_hat: np.ndarray
-    morlet_params: MorletParams
+    morlet_params: MorletParams | None  # None for a partition bank
     kind: str = "morlet"  # one of BANK_KINDS
     equalized: bool = True
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -120,8 +127,7 @@ def build_partition_bank(J: int, L: int, grid_shape: tuple[int, ...]) -> FilterB
     grid_shape = tuple(int(n) for n in grid_shape)
     _validate_bank_args(J, L, grid_shape)
     psi, phi = _build_partition_filters(J, L, grid_shape)
-    params = MorletParams().resolve(L)
-    bank = FilterBank(J, L, grid_shape, psi, phi, params, "partition", False)
+    bank = FilterBank(J, L, grid_shape, psi, phi, None, "partition", False)
     bank._cache[grid_shape] = (psi, phi)
     return bank
 
@@ -139,6 +145,7 @@ class BankSpec:
     def __post_init__(self):
         if self.kind not in BANK_KINDS:
             raise ValueError(f"unknown bank kind {self.kind!r}")
+        _check_scales(self.J, self.L)
 
     def build(self, shape: tuple[int, ...]) -> FilterBank:
         # through the module-level builders, which perfbench/tracing.py wraps by name
@@ -153,11 +160,15 @@ class BankSpec:
                     equalized=self.kind == "morlet" and self.equalize)
 
 
-def _validate_bank_args(J: int, L: int, grid_shape: tuple[int, ...]) -> None:
+def _check_scales(J: int, L: int) -> None:
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
+
+
+def _validate_bank_args(J: int, L: int, grid_shape: tuple[int, ...]) -> None:
+    _check_scales(J, L)
     if len(grid_shape) not in (1, 2):
         raise ValueError(f"grid must be 1- or 2-dimensional, got shape {grid_shape}")
     if len(grid_shape) == 1 and L != 1:

@@ -7,6 +7,7 @@ piecewise-constant pooled function losslessly.
 """
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -36,6 +37,14 @@ def min_admissible_factor(f: SignalGrid) -> float:
     return float((f.plate.volume * (peak / norm) ** 2) ** (1.0 / f.plate.dim))
 
 
+def _check_factor(S: float) -> None:
+    """Reject a pooling factor that is not a finite number >= 1."""
+    if not math.isfinite(S):
+        raise ValueError(f"pooling factor must be finite, got {S}")
+    if S < 1:
+        raise ValueError(f"pooling factor must be >= 1, got {S}")
+
+
 def max_pool(
     f: SignalGrid,
     block_samples: int | tuple[int, ...],
@@ -52,7 +61,7 @@ def max_pool(
         Samples per sub-plate along each axis: one int for every axis, or one
         per axis.  Each must divide the axis's sample count n.
     S : float
-        Pooling factor, at least 1; the output grid keeps n/S cells per axis,
+        Pooling factor, finite and at least 1; the output grid keeps n/S cells per axis,
         so S must divide n and n/S must be a whole number of the sub-plates.
     admissibility : str
         Where a sub-plate maps to more than one output cell, "strict" raises when
@@ -67,8 +76,7 @@ def max_pool(
     if min(sizes) < 1:
         raise ValueError(f"sub-plate sizes must be >= 1, got {sizes}")
     S = float(S)
-    if S < 1.0:
-        raise ValueError(f"pooling factor must be >= 1, got {S}")
+    _check_factor(S)
     if admissibility not in ADMISSIBILITY_MODES:
         raise ValueError(f"unknown admissibility mode {admissibility!r}")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .filterbank import FilterBank, FilterIndex
 from .grid import Plate, SignalGrid, _direct_circular_convolve, convolve, l2_norm
-from .pooling import ADMISSIBILITY_MODES, _block_maxima, max_pool
+from .pooling import ADMISSIBILITY_MODES, _block_maxima, _check_factor, max_pool
 
 Path = tuple[FilterIndex, ...]
 
@@ -32,7 +32,7 @@ class PoolConfig:
     """Per-layer pooling set-up for the maxp cascade and the pooling suites.
 
     Sub-plates hold ``block_samples`` samples along every axis; the plate
-    shrinks by ``factor`` (S); ``admissibility`` is the :func:`max_pool` mode.
+    shrinks by ``factor`` (S, finite and >= 1); ``admissibility`` is the :func:`max_pool` mode.
     """
 
     block_samples: int = 2
@@ -42,8 +42,7 @@ class PoolConfig:
     def __post_init__(self):
         if self.block_samples < 1:
             raise ValueError(f"block_samples must be >= 1, got {self.block_samples}")
-        if self.factor < 1:
-            raise ValueError(f"pooling factor must be >= 1, got {self.factor}")
+        _check_factor(self.factor)
         if self.admissibility not in ADMISSIBILITY_MODES:
             raise ValueError(f"unknown admissibility mode {self.admissibility!r}")
 
@@ -112,6 +111,21 @@ def propagate_one(
     else:
         values = convolve(f, psi[index], method=method).values
     return SignalGrid._adopt(f.plate, np.abs(values))
+
+
+def _moduli(nodes: dict[Path, SignalGrid], paths, bank: FilterBank, method: str = "fft"):
+    """Yield (path, propagate_one(parent, path[-1])) per path; siblings must be contiguous.
+
+    Under the fft method each parent is transformed once, into its shape's
+    spectrum buffer, which no earlier parent still needs.
+    """
+    spectra: dict[tuple[int, ...], np.ndarray] = {}
+    for parent, children in groupby(paths, lambda p: p[:-1]):
+        g, f_hat = nodes[parent], None
+        if method == "fft":
+            f_hat = spectra[g.shape] = np.fft.fftn(g.values, out=spectra.get(g.shape))
+        for path in children:
+            yield path, propagate_one(g, path[-1], bank, method, f_hat)
 
 
 def window(f: SignalGrid, bank: FilterBank, method: str = "fft", step: int = 1) -> SignalGrid:
@@ -210,23 +224,14 @@ def compute_tree(
 
     # depth 0 is the root alone; enumerating it also rejects an unknown policy
     nodes: dict[Path, SignalGrid] = dict.fromkeys(enumerate_paths(bank, 0, policy), f)
-    spectra: dict[tuple[int, ...], np.ndarray] = {}  # one parent-spectrum buffer per shape
     for depth in range(1, max_depth + 1):
-        # siblings are contiguous: each parent is transformed once, into its shape's
-        # buffer, which no earlier parent still needs
-        for parent, children in groupby(enumerate_paths(bank, depth, policy), lambda p: p[:-1]):
-            g, f_hat = nodes[parent], None
-            if conv_method == "fft":
-                f_hat = spectra[g.shape] = np.fft.fftn(g.values, out=spectra.get(g.shape))
-            for path in children:
-                u = propagate_one(g, path[-1], bank, conv_method, f_hat)
-                if mode == "maxp":
-                    try:
-                        u = max_pool(u, pool_cfg.block_samples, pool_cfg.factor,
-                                     pool_cfg.admissibility)
-                    except ValueError as exc:
-                        raise ValueError(f"pooling failed at depth {depth}: {exc}") from exc
-                nodes[path] = u
+        for path, u in _moduli(nodes, enumerate_paths(bank, depth, policy), bank, conv_method):
+            if mode == "maxp":
+                try:
+                    u = max_pool(u, pool_cfg.block_samples, pool_cfg.factor, pool_cfg.admissibility)
+                except ValueError as exc:
+                    raise ValueError(f"pooling failed at depth {depth}: {exc}") from exc
+            nodes[path] = u
 
     # one window call per node, in node order: perfbench's tracer assigns
     # window depths by call order

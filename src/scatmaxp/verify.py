@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .grid import (
     unit_plate,
 )
 from .pooling import AdmissibilityError, max_pool, min_admissible_factor
-from .scattering import PoolConfig, ScatteringTree, compute_tree, propagate_one
+from .scattering import PoolConfig, ScatteringTree, _moduli, compute_tree
 
 EXACT_RTOL = 1e-12
 DECAY_SLACK = 1.1
@@ -220,17 +219,11 @@ def check_energy_monotonic(f: SignalGrid, config: VerifyConfig = VerifyConfig())
         dict(config.bank.summary(), grid=config.grid, seed=config.seed, eps_lp=eps,
              max_depth=config.max_depth, S=config.pool.factor),
     )
-    ratios = []  # worst ||P u|| / ||u|| per depth, from depth 1
-    for m in range(1, config.max_depth + 1):
-        worst = 0.0
-        # siblings are contiguous, as in compute_tree, so each parent is transformed once
-        for parent, children in groupby(tree.paths_at(m), lambda p: p[:-1]):
-            g = tree.nodes[parent]
-            g_hat = np.fft.fftn(g.values)
-            for path in children:
-                norm = l2_norm(propagate_one(g, path[-1], bank, f_hat=g_hat))
-                worst = max(worst, l2_norm(tree.nodes[path]) / norm if norm > 0.0 else 0.0)
-        ratios.append(worst)
+    ratios = [0.0] * config.max_depth  # worst ||P u|| / ||u|| per depth, from depth 1
+    for path, u in _moduli(tree.nodes, [p for p in tree.nodes if p], bank):
+        norm = l2_norm(u)
+        ratio = l2_norm(tree.nodes[path]) / norm if norm > 0.0 else 0.0
+        ratios[len(path) - 1] = max(ratios[len(path) - 1], ratio)
     contracted = [r <= 1.0 + EXACT_RTOL for r in ratios]
 
     def record(name: str, summary: str, measured: float, bound: float, certified: bool) -> None:

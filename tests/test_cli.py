@@ -18,6 +18,7 @@ from scatmaxp.cli import (
     EXIT_USAGE,
     RunConfig,
     _build_parser,
+    _write_json,
     apply_flags,
     load_config,
     main,
@@ -163,6 +164,31 @@ class TestFilterbankCommand:
         assert code == EXIT_FAIL
         assert "divisible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--sigma0", "0"], "sigma0 must be finite and > 0, got 0.0"),
+        (["--sigma0", "-1"], "sigma0 must be finite and > 0, got -1.0"),
+        (["--sigma0", "nan"], "sigma0 must be finite and > 0, got nan"),
+        (["--slant", "0"], "slant must be finite and > 0, got 0.0"),
+        (["--xi0", "nan"], "xi0 must be finite, got nan"),
+        (["--grid", "15"], "grid axis 15 is not divisible by 2^J = 2"),
+        (["-J", "0"], "J must be >= 1, got 0"),
+        (["-L", "0"], "L must be >= 1, got 0"),
+    ])
+    def test_malformed_bank_set_up_fails_before_writing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "bank"
+        argv = ["filterbank", "-J", "1", "-L", "2", "--grid", "16", *flags, "--out", str(out)]
+        assert main(argv) == EXIT_FAIL
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_partition_manifest_has_no_morlet_parameters(self, tmp_path):
+        out = tmp_path / "bank"
+        assert main(["filterbank", "--bank-kind", "partition", "--grid", "32",
+                     "--out", str(out)]) == EXIT_PASS
+        text = (out / "manifest.json").read_text()
+        assert '"morlet_params": null' in text
+        assert json.loads(text)["kind"] == "partition"
+
     def test_raw_bank_flag_skips_equalization(self, tmp_path):
         out = tmp_path / "raw"
         code = main(["filterbank", "-J", "2", "-L", "2", "--grid", "64",
@@ -240,6 +266,21 @@ class TestScatterCommand:
                      ["verify", "--grid", "16", "--suites", "contraction"]):
             assert main([*argv, "--pool-factor", "0.5", "--out", str(out)]) == EXIT_FAIL, argv
             assert "error: pooling factor must be >= 1, got 0.5" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("factor", ["nan", "inf"])
+    def test_non_finite_pooling_factor_fails_before_running(self, tmp_path, capsys, factor):
+        # bench has no --pool-factor flag, so it reads the key from a config file
+        image = write_test_pgm(tmp_path / "img.pgm")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"pool_factor = {factor}\n")
+        out = tmp_path / "out"
+        for argv in (["scatter", str(image), "--mode", "plain", "--pool-factor", factor],
+                     ["scatter", str(image), "--mode", "maxp", "--pool-factor", factor],
+                     ["verify", "--grid", "16", "--suites", "contraction", "--pool-factor", factor],
+                     ["bench", "--grid", "16", "--config", str(cfg_file)]):
+            assert main([*argv, "--out", str(out)]) == EXIT_FAIL, argv
+            assert capsys.readouterr().err == f"error: pooling factor must be finite, got {factor}\n"
             assert not out.exists()
 
     def test_csv_export(self, tmp_path):
@@ -436,6 +477,19 @@ class TestVerifyCommand:
             main(["verify", "--help"])
         assert "contraction,commutation,energy,decay,equivariance" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, message", [
+        ("j = 0\n", "J must be >= 1, got 0"),
+        ("l = 0\n", "L must be >= 1, got 0"),
+        ("xi0 = inf\n", "xi0 must be finite, got inf"),
+    ], ids=["J", "L", "xi0"])
+    def test_malformed_bank_set_up_fails_before_any_suite(self, tmp_path, capsys, text, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "verify"
+        assert main(["verify", *self.FAST, "--config", str(cfg_file), "--out", str(out)]) == EXIT_FAIL
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_unknown_suite_rejected(self, tmp_path, capsys):
         code = main(["verify", "--suites", "astrology", "--out", str(tmp_path / "x")])
         assert code == EXIT_FAIL
@@ -598,6 +652,29 @@ def assert_prints_usage(result):
     assert result.stdout.startswith("usage: scatmaxp")
     for name in ("filterbank", "scatter", "verify", "bench"):
         assert name in result.stdout
+
+
+class TestStrictJson:
+    def test_every_manifest_parses_as_strict_json(self, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"non-finite constant {constant}")
+
+        image = write_test_pgm(tmp_path / "img.pgm")
+        runs = [(["filterbank", "-J", "2", "-L", "2", "--grid", "32"], "manifest.json"),
+                (["filterbank", "--bank-kind", "partition", "--grid", "32"], "manifest.json"),
+                (["scatter", str(image), "--mode", "maxp"], "img/manifest.json"),
+                (["scatter", str(image), "--format", "csv", "--depth", "1"], "img/manifest.json"),
+                (["bench", "--grid", "32", "--batch", "1"], "bench.json")]
+        for i, (argv, name) in enumerate(runs):
+            out = tmp_path / f"run{i}"
+            assert main([*argv, "--out", str(out)]) == EXIT_PASS, argv
+            assert json.loads((out / name).read_text(), parse_constant=refuse), argv
+
+    def test_a_non_finite_value_is_refused_before_writing(self, tmp_path):
+        target = tmp_path / "manifest.json"
+        with pytest.raises(ValueError, match="Out of range float values"):
+            _write_json(target, {"pool_factor": float("nan")})
+        assert not target.exists()
 
 
 class TestConsoleScript:

@@ -80,6 +80,29 @@ class TestBankConstruction:
         with pytest.raises(ValueError, match=f"unknown bank kind '{kind}'"):
             BankSpec(kind=kind)
 
+    @pytest.mark.parametrize("J, L, message", [(0, 2, "J must be >= 1, got 0"),
+                                                (2, 0, "L must be >= 1, got 0")])
+    def test_bank_spec_rejects_scales_below_one(self, J, L, message):
+        with pytest.raises(ValueError, match=message):
+            BankSpec(J=J, L=L)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sigma0", 0.0, "sigma0 must be finite and > 0, got 0.0"),
+        ("sigma0", -1.0, "sigma0 must be finite and > 0, got -1.0"),
+        ("sigma0", math.nan, "sigma0 must be finite and > 0, got nan"),
+        ("slant", 0.0, "slant must be finite and > 0, got 0.0"),
+        ("slant", math.inf, "slant must be finite and > 0, got inf"),
+        ("xi0", math.nan, "xi0 must be finite, got nan"),
+        ("xi0", -math.inf, "xi0 must be finite, got -inf"),
+    ])
+    def test_morlet_params_reject_malformed_values(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            MorletParams(**{field: value})
+
+    def test_partition_bank_carries_no_morlet_parameters(self):
+        assert build_partition_bank(2, 2, (32, 32)).morlet_params is None
+        assert BankSpec(kind="partition").build((32, 32)).morlet_params is None
+
     def test_rebuild_is_bit_identical(self):
         a = build_morlet_bank(2, 3, (32, 32))
         b = build_morlet_bank(2, 3, (32, 32))

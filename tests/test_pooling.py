@@ -236,6 +236,12 @@ class TestMaxPool:
         with pytest.raises(ValueError, match="unknown admissibility mode 'loud'"):
             max_pool(f, 2, 2.0, "loud")
 
+    @pytest.mark.parametrize("S", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_factor_rejected_by_name(self, S):
+        f = SignalGrid(unit_plate((8, 8)), np.ones((8, 8)))
+        with pytest.raises(ValueError, match=f"^pooling factor must be finite, got {S}$"):
+            max_pool(f, 2, S, "off")
+
     def test_indivisible_split_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             max_pool(SignalGrid(unit_plate((6,)), np.ones(6)), 4, 1.0, "off")

@@ -1,5 +1,6 @@
 """Path enumeration, the three cascades, and the architecture arithmetic."""
 
+import math
 import warnings
 
 import numpy as np
@@ -222,6 +223,11 @@ class TestComputeTree:
             PoolConfig(2, 2.0, "wran")
         for admissibility in pooling.ADMISSIBILITY_MODES:  # the modes max_pool accepts
             PoolConfig(2, 2.0, admissibility)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_non_finite_pooling_factor_rejected_when_configured(self, factor):
+        with pytest.raises(ValueError, match=f"^pooling factor must be finite, got {factor}$"):
+            PoolConfig(2, factor)
 
     def test_frequency_decreasing_paths_only(self, bank64):
         tree = compute_tree(random_signal((64, 64)), bank64, "plain", 2,

@@ -9,7 +9,7 @@ import pytest
 from scatmaxp.filterbank import BankSpec, littlewood_paley_sum
 from scatmaxp.grid import SignalGrid, l2_norm, unit_plate
 from scatmaxp.pooling import max_pool
-from scatmaxp import filterbank
+from scatmaxp import filterbank, scattering
 from scatmaxp.scattering import PoolConfig
 from scatmaxp.verify import (
     EXACT_RTOL,
@@ -188,6 +188,18 @@ class TestEnergyMonotonicity:
         monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(a) or fftn(*a, **k))
         check_energy_monotonic(random_signal(np.random.default_rng(0), "uniform", (64, 64)))
         assert len(calls) == 62
+
+    def test_moduli_come_from_the_cascade_step(self, monkeypatch):
+        # 4 + 16 non-root nodes, each made once for the tree and once for the
+        # unpooled modulus, both through the module-level step the tracer wraps
+        calls = []
+        step = scattering.propagate_one
+        monkeypatch.setattr(scattering, "propagate_one",
+                            lambda *a, **k: calls.append(a[1]) or step(*a, **k))
+        report = check_energy_monotonic(
+            random_signal(np.random.default_rng(0), "uniform", (32, 32)), SMALL)
+        assert report.verdict == "pass"
+        assert len(calls) == 2 * 20 == 40
 
 
 MORLET_ENV = ["# env sigma0=0.8", "# env slant=2.0", "# env xi0=2.356194490192345"]
