@@ -44,7 +44,7 @@ print("\npartition fixture frame defect:", frame_defect(fixture))
 
 # The translation-invariance theorem needs B with |phi_hat(w)| |w| < B.  For a
 # Gaussian low-pass the maximum sits at |w| = 1/sigma with value e^-1/2/sigma.
-sigma = bank.morlet_params.sigma0 * 2 ** (bank.J - 1)
+sigma = bank.spec.morlet_params.sigma0 * 2 ** (bank.J - 1)
 print("\nB measured:", theorem_constant_B(bank))
 print("B analytic e^-1/2 / sigma_phi:", np.exp(-0.5) / sigma)
 

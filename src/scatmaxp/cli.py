@@ -18,6 +18,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .filterbank import BANK_KINDS, BankSpec, MorletParams, frame_defect, theorem_constant_B
+from .filterbank import _checked_grid  # the bank's own grid rule, checked before any is built
 from .filterbank import build_morlet_bank  # not called here; perfbench/tracing.py patches this name
 from .grid import SignalGrid, read_pgm, read_sgrid, unit_plate, write_sgrid
 from .pooling import AdmissibilityWarning
@@ -64,6 +65,12 @@ class RunConfig:
     bench_batch: int = 4
     bench_modes: str = "plain,maxp,naivep"
     n_classes: int = 102
+
+    def __post_init__(self):
+        if self.n_classes < 1:
+            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def effective(self) -> dict:
         d = asdict(self)
@@ -172,12 +179,12 @@ def cmd_filterbank(cfg: RunConfig) -> int:
     write_sgrid(SignalGrid(plate, bank.phi_hat), out / "phi.sgrid")
     files["phi"] = "phi.sgrid"
     manifest = {
-        "kind": bank.kind,
+        "kind": bank.spec.kind,
         "J": bank.J,
         "L": bank.L,
         "grid": list(cfg.grid),
-        "morlet_params": asdict(bank.morlet_params) if bank.morlet_params else None,
-        "equalized": bank.equalized,
+        "morlet_params": asdict(bank.spec.morlet_params) if bank.spec.morlet_params else None,
+        "equalized": bank.spec.equalized,
         "frame_defect": frame_defect(bank),
         "theorem_constant_B": theorem_constant_B(bank),
         "files": files,
@@ -201,8 +208,7 @@ def _read_input(path: str) -> SignalGrid:
     raise ValueError(f"unsupported input format {path!r} (expected .pgm or .sgrid)")
 
 
-def _scatter_one(cfg: RunConfig, input_path: str) -> str:
-    f = _read_input(input_path)
+def _scatter_one(cfg: RunConfig, input_path: str, f: SignalGrid) -> str:
     bank = cfg.bank_spec().build(f.shape)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AdmissibilityWarning)
@@ -248,7 +254,15 @@ def _scatter_one(cfg: RunConfig, input_path: str) -> str:
 
 
 def cmd_scatter(cfg: RunConfig, inputs: list[str]) -> int:
-    messages = [_scatter_one(cfg, p) for p in inputs]
+    # every input is read and its grid checked before any bank is built or output written
+    spec = cfg.bank_spec()
+    signals = [_read_input(p) for p in inputs]
+    for p, f in zip(inputs, signals):
+        try:
+            _checked_grid(spec, f.shape)
+        except ValueError as exc:
+            raise ValueError(f"{p}: {exc}") from exc
+    messages = [_scatter_one(cfg, p, f) for p, f in zip(inputs, signals)]
     for message in messages:
         print(message)
     return EXIT_PASS

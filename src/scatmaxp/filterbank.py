@@ -34,7 +34,7 @@ class FilterIndex(NamedTuple):
 class MorletParams:
     sigma0: float = 0.8
     xi0: float = 3.0 * math.pi / 4.0
-    slant: float | None = None  # None resolves to 4 / L at build time
+    slant: float | None = None  # None resolves to 4 / L (BankSpec.morlet_params)
 
     def __post_init__(self):
         for name, value in (("sigma0", self.sigma0), ("slant", self.slant)):
@@ -50,28 +50,81 @@ class MorletParams:
 
 
 @dataclass(frozen=True)
-class FilterBank:
-    """Immutable bank of band-pass wavelets psi_hat and one low-pass phi_hat.
+class BankSpec:
+    """The set-up of one bank, apart from the grid it is built on."""
 
-    ``psi_hat`` and ``phi_hat`` are the filters realized on ``grid_shape``;
-    :meth:`realize` rebuilds the same bank on other grid shapes (needed when
-    pooled cascades shrink the grid) at matching physical scale.  Every
-    realized filter array, and every psi mapping, is read-only.
-    """
-
-    J: int
-    L: int
-    grid_shape: tuple[int, ...]
-    psi_hat: Mapping[FilterIndex, np.ndarray]
-    phi_hat: np.ndarray
-    morlet_params: MorletParams | None  # None for a partition bank
+    J: int = 2
+    L: int = 2
     kind: str = "morlet"  # one of BANK_KINDS
-    equalized: bool = True
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    equalize: bool = True  # Morlet only; a partition bank is exact as built
+    morlet: MorletParams = MorletParams()
+
+    def __post_init__(self):
+        if self.kind not in BANK_KINDS:
+            raise ValueError(f"unknown bank kind {self.kind!r}")
+        if self.J < 1:
+            raise ValueError(f"J must be >= 1, got {self.J}")
+        if self.L < 1:
+            raise ValueError(f"L must be >= 1, got {self.L}")
 
     @property
-    def dim(self) -> int:
-        return len(self.grid_shape)
+    def morlet_params(self) -> MorletParams | None:
+        """The Morlet parameters with the slant resolved; None for a partition bank."""
+        return self.morlet.resolve(self.L) if self.kind == "morlet" else None
+
+    @property
+    def equalized(self) -> bool:
+        return self.kind == "morlet" and self.equalize
+
+    def build(self, shape: tuple[int, ...]) -> "FilterBank":
+        # through the module-level builders, which perfbench/tracing.py wraps by name
+        if self.kind == "partition":
+            return build_partition_bank(self.J, self.L, shape)
+        return build_morlet_bank(self.J, self.L, shape, self.morlet, self.equalize)
+
+    def summary(self) -> dict:
+        """Report-environment keys naming the bank; Morlet adds its resolved parameters."""
+        params = self.morlet_params
+        return dict(asdict(params) if params else {}, bank=self.kind, J=self.J, L=self.L,
+                    equalized=self.equalized)
+
+
+@dataclass(frozen=True)
+class FilterBank:
+    """A :class:`BankSpec` on a grid: band-pass wavelets psi_hat and one low-pass phi_hat.
+
+    The bank keeps one realization per grid shape; ``psi_hat`` and ``phi_hat``
+    are the one of ``grid_shape``, built with the bank, and :meth:`realize`
+    builds others (pooled cascades shrink the grid).  Every realized filter
+    array, and every psi mapping, is read-only.
+    """
+
+    spec: BankSpec
+    grid_shape: tuple[int, ...]
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        shape = _checked_grid(self.spec, self.grid_shape)
+        object.__setattr__(self, "grid_shape", shape)
+        if shape not in self._cache:
+            # not through realize, which perfbench/tracing.py counts per call
+            self._cache[shape] = _filters(self.spec, shape)
+
+    @property
+    def J(self) -> int:
+        return self.spec.J
+
+    @property
+    def L(self) -> int:
+        return self.spec.L
+
+    @property
+    def psi_hat(self) -> Mapping[FilterIndex, np.ndarray]:
+        return self._cache[self.grid_shape][0]
+
+    @property
+    def phi_hat(self) -> np.ndarray:
+        return self._cache[self.grid_shape][1]
 
     @property
     def indices(self) -> list[FilterIndex]:
@@ -85,36 +138,18 @@ class FilterBank:
         every grid and the shape alone identifies a realization.
         """
         shape = tuple(int(n) for n in shape)
-        if len(shape) != self.dim:
-            raise ValueError(
-                f"no filters available for a {len(shape)}-dimensional grid "
-                f"(bank is {self.dim}-dimensional)"
-            )
+        if len(shape) != len(self.grid_shape):
+            raise ValueError(f"no filters available for a {len(shape)}-dimensional grid "
+                             f"(bank is {len(self.grid_shape)}-dimensional)")
         if shape not in self._cache:
-            if self.kind == "morlet":
-                self._cache[shape] = _build_morlet_filters(
-                    self.J, self.L, shape, self.morlet_params, self.equalized
-                )
-            else:
-                self._cache[shape] = _build_partition_filters(self.J, self.L, shape)
+            self._cache[shape] = _filters(self.spec, shape)
         return self._cache[shape]
 
 
-def build_morlet_bank(
-    J: int,
-    L: int,
-    grid_shape: tuple[int, ...],
-    params: MorletParams | None = None,
-    equalize: bool = True,
-) -> FilterBank:
+def build_morlet_bank(J: int, L: int, grid_shape: tuple[int, ...],
+                      params: MorletParams | None = None, equalize: bool = True) -> FilterBank:
     """Morlet wavelet bank with J*L zero-mean wavelets and a Gaussian low-pass."""
-    grid_shape = tuple(int(n) for n in grid_shape)
-    _validate_bank_args(J, L, grid_shape)
-    params = (params or MorletParams()).resolve(L)
-    psi, phi = _build_morlet_filters(J, L, grid_shape, params, equalize)
-    bank = FilterBank(J, L, grid_shape, psi, phi, params, "morlet", equalize)
-    bank._cache[grid_shape] = (psi, phi)
-    return bank
+    return FilterBank(BankSpec(J, L, "morlet", equalize, params or MorletParams()), grid_shape)
 
 
 def build_partition_bank(J: int, L: int, grid_shape: tuple[int, ...]) -> FilterBank:
@@ -124,58 +159,28 @@ def build_partition_bank(J: int, L: int, grid_shape: tuple[int, ...]) -> FilterB
     dyadic-shell / angular-sector pieces, with amplitudes chosen so the
     symmetrized Littlewood-Paley sum is identically 1.
     """
+    return FilterBank(BankSpec(J, L, "partition"), grid_shape)
+
+
+def _checked_grid(spec: BankSpec, grid_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """``grid_shape`` as ints, checked as the grid a bank of ``spec`` is built on."""
     grid_shape = tuple(int(n) for n in grid_shape)
-    _validate_bank_args(J, L, grid_shape)
-    psi, phi = _build_partition_filters(J, L, grid_shape)
-    bank = FilterBank(J, L, grid_shape, psi, phi, None, "partition", False)
-    bank._cache[grid_shape] = (psi, phi)
-    return bank
-
-
-@dataclass(frozen=True)
-class BankSpec:
-    """The set-up of one bank, apart from the grid it is built on."""
-
-    J: int = 2
-    L: int = 2
-    kind: str = "morlet"  # one of BANK_KINDS
-    equalize: bool = True  # Morlet only; a partition bank is exact as built
-    morlet: MorletParams = MorletParams()
-
-    def __post_init__(self):
-        if self.kind not in BANK_KINDS:
-            raise ValueError(f"unknown bank kind {self.kind!r}")
-        _check_scales(self.J, self.L)
-
-    def build(self, shape: tuple[int, ...]) -> FilterBank:
-        # through the module-level builders, which perfbench/tracing.py wraps by name
-        if self.kind == "partition":
-            return build_partition_bank(self.J, self.L, shape)
-        return build_morlet_bank(self.J, self.L, shape, self.morlet, self.equalize)
-
-    def summary(self) -> dict:
-        """Report-environment keys naming the bank; Morlet adds its resolved parameters."""
-        morlet = asdict(self.morlet.resolve(self.L)) if self.kind == "morlet" else {}
-        return dict(morlet, bank=self.kind, J=self.J, L=self.L,
-                    equalized=self.kind == "morlet" and self.equalize)
-
-
-def _check_scales(J: int, L: int) -> None:
-    if J < 1:
-        raise ValueError(f"J must be >= 1, got {J}")
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-
-
-def _validate_bank_args(J: int, L: int, grid_shape: tuple[int, ...]) -> None:
-    _check_scales(J, L)
     if len(grid_shape) not in (1, 2):
         raise ValueError(f"grid must be 1- or 2-dimensional, got shape {grid_shape}")
-    if len(grid_shape) == 1 and L != 1:
+    if len(grid_shape) == 1 and spec.L != 1:
         raise ValueError("1-dimensional banks admit no rotations; L must be 1")
     for n in grid_shape:
-        if n % (2 ** J) != 0:
-            raise ValueError(f"grid axis {n} is not divisible by 2^J = {2 ** J}")
+        if n < 1:
+            raise ValueError(f"grid axis must be >= 1, got {n}")
+        if n % (2 ** spec.J) != 0:
+            raise ValueError(f"grid axis {n} is not divisible by 2^J = {2 ** spec.J}")
+    return grid_shape
+
+
+def _filters(spec: BankSpec, shape: tuple[int, ...]):
+    """One read-only realization (psi mapping, phi) of ``spec`` on ``shape``."""
+    build = _morlet_filters if spec.kind == "morlet" else _partition_filters
+    return build(spec, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +244,8 @@ def _morlet_hat(
     return _gauss_hat(shape, envelope * (np.exp(1j * xi * xr) - kappa))
 
 
-def _build_morlet_filters(
-    J: int,
-    L: int,
-    shape: tuple[int, ...],
-    params: MorletParams,
-    equalize: bool,
-):
+def _morlet_filters(spec: BankSpec, shape: tuple[int, ...]):
+    J, L, params = spec.J, spec.L, spec.morlet_params
     psi: dict[FilterIndex, np.ndarray] = {}
     for j in range(J):
         for r in range(L):
@@ -255,7 +255,7 @@ def _build_morlet_filters(
             )
     envelope, _ = _gauss_envelope(len(shape), params.sigma0 * 2 ** (J - 1), 1.0, 0.0)
     phi = _gauss_hat(shape, envelope)
-    if equalize:
+    if spec.equalize:
         psi = _equalize_wavelets(psi, phi)
     return _read_only(psi, phi)
 
@@ -281,8 +281,8 @@ def _equalize_wavelets(
 # Exact-partition fixture
 # ---------------------------------------------------------------------------
 
-def _build_partition_filters(J: int, L: int, shape: tuple[int, ...]):
-    d = len(shape)
+def _partition_filters(spec: BankSpec, shape: tuple[int, ...]):
+    J, L, d = spec.J, spec.L, len(shape)
     freqs = _pixel_frequencies(shape)
     grids = np.meshgrid(*freqs, indexing="ij") if d == 2 else [freqs[0]]
     radius = np.sqrt(sum(g ** 2 for g in grids))
@@ -347,6 +347,6 @@ def theorem_constant_B(bank: FilterBank, spacing: float = 1.0) -> float:
     physical length = radians per sample / spacing).
     """
     freqs = [w / spacing for w in _pixel_frequencies(bank.grid_shape)]
-    grids = np.meshgrid(*freqs, indexing="ij") if bank.dim == 2 else [freqs[0]]
+    grids = np.meshgrid(*freqs, indexing="ij") if len(bank.grid_shape) == 2 else [freqs[0]]
     radius = np.sqrt(sum(g ** 2 for g in grids))
     return float(np.max(np.abs(bank.phi_hat) * radius))

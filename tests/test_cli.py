@@ -171,6 +171,8 @@ class TestFilterbankCommand:
         (["--slant", "0"], "slant must be finite and > 0, got 0.0"),
         (["--xi0", "nan"], "xi0 must be finite, got nan"),
         (["--grid", "15"], "grid axis 15 is not divisible by 2^J = 2"),
+        (["--grid", "0"], "grid axis must be >= 1, got 0"),
+        (["--grid", "-4"], "grid axis must be >= 1, got -4"),
         (["-J", "0"], "J must be >= 1, got 0"),
         (["-L", "0"], "L must be >= 1, got 0"),
     ])
@@ -282,6 +284,19 @@ class TestScatterCommand:
             assert main([*argv, "--out", str(out)]) == EXIT_FAIL, argv
             assert capsys.readouterr().err == f"error: pooling factor must be finite, got {factor}\n"
             assert not out.exists()
+
+    def test_every_input_grid_is_checked_before_any_output(self, tmp_path, capsys, monkeypatch):
+        good = write_test_pgm(tmp_path / "a.pgm", size=32)
+        bad = write_test_pgm(tmp_path / "b.pgm", size=30)
+
+        def no_bank(self, shape):
+            raise AssertionError("a bank was built")
+
+        monkeypatch.setattr(BankSpec, "build", no_bank)
+        out = tmp_path / "coeffs"
+        assert main(["scatter", str(good), str(bad), "-J", "2", "--out", str(out)]) == EXIT_FAIL
+        assert capsys.readouterr().err == f"error: {bad}: grid axis 30 is not divisible by 2^J = 4\n"
+        assert not out.exists()
 
     def test_csv_export(self, tmp_path):
         image = write_test_pgm(tmp_path / "img.pgm")
@@ -634,6 +649,22 @@ class TestBenchCommand:
         assert code == EXIT_FAIL
         assert f"need at least one signal in the batch, got {batch}" in capsys.readouterr().err
         assert not (out / "bench.json").exists()
+
+
+class TestRunConfigChecks:
+    @pytest.mark.parametrize("argv, message", [
+        (["scatter", "img.pgm", "--n-classes", "-5"], "n_classes must be >= 1, got -5"),
+        (["bench", "--grid", "16", "--n-classes", "0"], "n_classes must be >= 1, got 0"),
+        (["verify", "--grid", "16", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["bench", "--grid", "16", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["scatter-n-classes", "bench-n-classes", "verify-seed", "bench-seed"])
+    def test_malformed_count_or_seed_fails_before_any_work(self, tmp_path, capsys, argv, message):
+        write_test_pgm(tmp_path / "img.pgm")
+        argv = [str(tmp_path / a) if a == "img.pgm" else a for a in argv]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_FAIL
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
 
 SRC_DIR = Path(scatmaxp.__file__).resolve().parent.parent

@@ -74,6 +74,8 @@ class TestBankConstruction:
             build_morlet_bank(2, 4, (64,))
         with pytest.raises(ValueError, match=r"grid must be 1- or 2-dimensional, got shape \(8, 8, 8\)"):
             build_morlet_bank(1, 2, (8, 8, 8))
+        with pytest.raises(ValueError, match="grid axis must be >= 1, got 0"):
+            build_morlet_bank(1, 2, (16, 0))
 
     @pytest.mark.parametrize("kind", ["Partition", "gabor", ""])
     def test_bank_spec_rejects_an_unknown_kind(self, kind):
@@ -100,8 +102,28 @@ class TestBankConstruction:
             MorletParams(**{field: value})
 
     def test_partition_bank_carries_no_morlet_parameters(self):
-        assert build_partition_bank(2, 2, (32, 32)).morlet_params is None
-        assert BankSpec(kind="partition").build((32, 32)).morlet_params is None
+        assert build_partition_bank(2, 2, (32, 32)).spec.morlet_params is None
+        assert BankSpec(kind="partition").build((32, 32)).spec.morlet_params is None
+
+    @pytest.mark.parametrize("kind", ["morlet", "partition"])
+    def test_a_bank_is_its_spec_on_a_grid(self, kind):
+        spec = BankSpec(J=2, L=3, kind=kind)
+        a, b = spec.build((32, 32)), spec.build([32, 32])
+        assert a == b and hash(a) == hash(b)
+        assert a.spec == spec and a.grid_shape == (32, 32)
+        assert (a.J, a.L) == (2, 3)
+        assert a != spec.build((64, 64))
+        assert a != replace(spec, J=1).build((32, 32))
+
+    def test_own_filters_are_the_realization_of_the_own_grid(self):
+        bank = build_morlet_bank(2, 2, (32, 32))
+        psi, phi = bank.realize((32, 32))
+        assert psi is bank.psi_hat and phi is bank.phi_hat
+        # a doctored bank seeds its own grid's realization, and reads it back everywhere
+        phi = 0.5 * bank.phi_hat
+        doctored = replace(bank, _cache={bank.grid_shape: (bank.psi_hat, phi)})
+        assert doctored.phi_hat is doctored.realize(doctored.grid_shape)[1] is phi
+        assert doctored.psi_hat is bank.psi_hat
 
     def test_rebuild_is_bit_identical(self):
         a = build_morlet_bank(2, 3, (32, 32))
@@ -112,10 +134,10 @@ class TestBankConstruction:
 
     def test_slant_defaults_to_4_over_L(self):
         bank = build_morlet_bank(2, 8, (32, 32))
-        assert bank.morlet_params.slant == pytest.approx(0.5)
+        assert bank.spec.morlet_params.slant == pytest.approx(0.5)
         explicit = MorletParams(slant=1.0)
         bank2 = build_morlet_bank(2, 8, (32, 32), params=explicit)
-        assert bank2.morlet_params.slant == 1.0
+        assert bank2.spec.morlet_params.slant == 1.0
 
     def test_realize_rebuilds_on_smaller_grids(self):
         bank = build_morlet_bank(2, 2, (64, 64))
@@ -263,7 +285,7 @@ class TestFrameDefect:
     def test_defect_lower_bound_at_zero_frequency(self):
         # psi(0) = 0 forces frame_defect >= |1 - phi(0)^2| whatever the wavelets do
         bank = build_morlet_bank(2, 2, (32, 32))
-        doctored = replace(bank, phi_hat=0.9 * bank.phi_hat, _cache={})
+        doctored = replace(bank, _cache={bank.grid_shape: (bank.psi_hat, 0.9 * bank.phi_hat)})
         assert frame_defect(doctored) >= abs(1.0 - 0.81) - 1e-12
 
     @pytest.mark.parametrize("equalize", [False, True])
@@ -303,18 +325,20 @@ class TestTheoremConstantB:
     def test_matches_analytic_gaussian_maximum(self):
         # phi_hat = exp(-sigma^2 w^2 / 2) peaks w*exp at w = 1/sigma with B = e^-1/2 / sigma
         bank = build_morlet_bank(3, 1, (32768,))
-        sigma = bank.morlet_params.sigma0 * 2 ** (bank.J - 1)
+        sigma = bank.spec.morlet_params.sigma0 * 2 ** (bank.J - 1)
         analytic = math.exp(-0.5) / sigma
         assert theorem_constant_B(bank) == pytest.approx(analytic, rel=1e-6)
 
     def test_degenerate_low_pass_gives_zero(self):
         bank = build_morlet_bank(2, 2, (16, 16))
-        doctored = replace(bank, phi_hat=np.zeros_like(bank.phi_hat), _cache={})
+        doctored = replace(bank, _cache={bank.grid_shape: (bank.psi_hat,
+                                                           np.zeros_like(bank.phi_hat))})
         assert theorem_constant_B(doctored) == 0.0
 
     def test_invariant_under_reflection(self):
         bank = build_morlet_bank(2, 2, (16, 16))
-        doctored = replace(bank, phi_hat=reflect_frequencies(bank.phi_hat), _cache={})
+        doctored = replace(bank, _cache={bank.grid_shape: (bank.psi_hat,
+                                                           reflect_frequencies(bank.phi_hat))})
         assert theorem_constant_B(doctored) == theorem_constant_B(bank)
 
     def test_spacing_rescales_frequencies(self):

@@ -37,3 +37,28 @@ def test_tracer_installs_records_and_restores(monkeypatch):
     # the cascade calls the module-level step and pool once per child, so each is traced
     children = len(tree.nodes) - 1
     assert names.count("scattering.propagate") == names.count("pooling.max_pool") == children == 6
+
+
+def test_bank_contract_the_tracer_reads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        bank = filterbank.BankSpec(J=2, L=2).build((16, 16))
+        f = SignalGrid(unit_plate((16, 16)), np.random.default_rng(1).random((16, 16)))
+        tree = scattering.compute_tree(f, bank, "maxp", 2)
+        bank.realize(bank.grid_shape)
+    # a bank realizes its own grid while it is built, not through the traced realize
+    for span in tracer.spans:
+        if span.name == "filterbank.realize":
+            parent = span.parent
+            while parent is not None:
+                assert parent.name != "filterbank.build"
+                parent = parent.parent
+    # tree_pre records J and L; build_post marks phi_hat seen, so the own grid is a hit
+    assert type(bank.J) is int and type(bank.L) is int
+    (tree_span,) = [s for s in tracer.spans if s.name == "scattering.tree"]
+    assert (tree_span.attrs["J"], tree_span.attrs["L"]) == (2, 2)
+    hits = [s.attrs["hit"] for s in tracer.spans if s.name == "filterbank.realize"]
+    pooled_shapes = {g.shape for g in tree.nodes.values()} - {bank.grid_shape}
+    assert hits[-1] and hits.count(False) == len(pooled_shapes) == 2
