@@ -285,6 +285,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     unknown = [s for s in selected if s not in available]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; available: {sorted(available)}")
+    if {"energy", "decay"} & set(selected):
+        # these suites realize the bank on the grid: check it before any suite runs or writes
+        _checked_grid(vconfig.bank, vconfig.grid)
     out = FsPath(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = []

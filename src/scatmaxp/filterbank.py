@@ -95,20 +95,20 @@ class FilterBank:
 
     The bank keeps one realization per grid shape; ``psi_hat`` and ``phi_hat``
     are the one of ``grid_shape``, built with the bank, and :meth:`realize`
-    builds others (pooled cascades shrink the grid).  Every realized filter
-    array, and every psi mapping, is read-only.
+    builds others (pooled cascades shrink the grid).  The store is the bank's
+    own, so ``dataclasses.replace`` gives a bank that realizes its own spec.
+    Every realized filter array, and every psi mapping, is read-only.
     """
 
     spec: BankSpec
     grid_shape: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = _checked_grid(self.spec, self.grid_shape)
         object.__setattr__(self, "grid_shape", shape)
-        if shape not in self._cache:
-            # not through realize, which perfbench/tracing.py counts per call
-            self._cache[shape] = _filters(self.spec, shape)
+        # not through realize, which perfbench/tracing.py counts per call
+        self._cache[shape] = _filters(self.spec, shape)
 
     @property
     def J(self) -> int:

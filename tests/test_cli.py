@@ -505,6 +505,26 @@ class TestVerifyCommand:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "30", "-J", "2"], "grid axis 30 is not divisible by 2^J = 4"),
+        (["--grid", "0"], "grid axis must be >= 1, got 0"),
+    ], ids=["untiled", "empty"])
+    def test_grid_the_bank_refuses_fails_before_any_suite(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "verify"
+        # FAST[2:] drops FAST's own --grid
+        assert main(["verify", *self.FAST[2:], *argv, "--out", str(out)]) == EXIT_FAIL
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_suites_without_the_bank_on_the_grid_run_on_any_grid(self, tmp_path, capsys):
+        # contraction and commutation build no bank; equivariance has a grid of its own
+        out = tmp_path / "verify"
+        suites = ["contraction", "commutation", "equivariance"]
+        argv = [*self.FAST[2:], "--grid", "30", "-J", "2", "--suites", ",".join(suites)]
+        assert main(["verify", *argv, "--out", str(out)]) == EXIT_PASS
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"{s}.csv" for s in suites] + ["summary.txt"])
+
     def test_unknown_suite_rejected(self, tmp_path, capsys):
         code = main(["verify", "--suites", "astrology", "--out", str(tmp_path / "x")])
         assert code == EXIT_FAIL

@@ -29,6 +29,13 @@ from scatmaxp.filterbank import (
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "frame_defect.json").read_text())
 
 
+def with_phi(bank, phi):
+    """A copy of ``bank`` whose own grid's realization has the low-pass ``phi``."""
+    doctored = replace(bank)
+    doctored._cache[bank.grid_shape] = (bank.psi_hat, phi)
+    return doctored
+
+
 class TestBankConstruction:
     def test_wavelet_count_is_J_times_L(self):
         bank = build_morlet_bank(2, 2, (16, 16))
@@ -121,9 +128,21 @@ class TestBankConstruction:
         assert psi is bank.psi_hat and phi is bank.phi_hat
         # a doctored bank seeds its own grid's realization, and reads it back everywhere
         phi = 0.5 * bank.phi_hat
-        doctored = replace(bank, _cache={bank.grid_shape: (bank.psi_hat, phi)})
+        doctored = with_phi(bank, phi)
         assert doctored.phi_hat is doctored.realize(doctored.grid_shape)[1] is phi
         assert doctored.psi_hat is bank.psi_hat
+
+    @pytest.mark.parametrize("kind", ["morlet", "partition"])
+    def test_a_replaced_spec_realizes_its_own_filters(self, kind):
+        bank = BankSpec(J=2, L=2, kind=kind).build((16, 16))
+        bank.realize((8, 8))
+        spec = BankSpec(J=1, L=2, kind=kind)
+        moved, fresh = replace(bank, spec=spec), spec.build((16, 16))
+        assert moved.J == 1 and moved.indices == fresh.indices
+        assert all(np.array_equal(moved.psi_hat[k], fresh.psi_hat[k]) for k in fresh.indices)
+        assert np.array_equal(moved.phi_hat, fresh.phi_hat)
+        assert np.array_equal(moved.realize((8, 8))[1], fresh.realize((8, 8))[1])
+        assert len(bank.realize((16, 16))[0]) == 4  # the original keeps its own
 
     def test_rebuild_is_bit_identical(self):
         a = build_morlet_bank(2, 3, (32, 32))
@@ -285,7 +304,7 @@ class TestFrameDefect:
     def test_defect_lower_bound_at_zero_frequency(self):
         # psi(0) = 0 forces frame_defect >= |1 - phi(0)^2| whatever the wavelets do
         bank = build_morlet_bank(2, 2, (32, 32))
-        doctored = replace(bank, _cache={bank.grid_shape: (bank.psi_hat, 0.9 * bank.phi_hat)})
+        doctored = with_phi(bank, 0.9 * bank.phi_hat)
         assert frame_defect(doctored) >= abs(1.0 - 0.81) - 1e-12
 
     @pytest.mark.parametrize("equalize", [False, True])
@@ -331,14 +350,12 @@ class TestTheoremConstantB:
 
     def test_degenerate_low_pass_gives_zero(self):
         bank = build_morlet_bank(2, 2, (16, 16))
-        doctored = replace(bank, _cache={bank.grid_shape: (bank.psi_hat,
-                                                           np.zeros_like(bank.phi_hat))})
+        doctored = with_phi(bank, np.zeros_like(bank.phi_hat))
         assert theorem_constant_B(doctored) == 0.0
 
     def test_invariant_under_reflection(self):
         bank = build_morlet_bank(2, 2, (16, 16))
-        doctored = replace(bank, _cache={bank.grid_shape: (bank.psi_hat,
-                                                           reflect_frequencies(bank.phi_hat))})
+        doctored = with_phi(bank, reflect_frequencies(bank.phi_hat))
         assert theorem_constant_B(doctored) == theorem_constant_B(bank)
 
     def test_spacing_rescales_frequencies(self):

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scatmaxp.grid import (
     Plate,
     SignalGrid,
+    _direct_circular_convolve,
     convolve,
     l2_diff_on_common_torus,
     l2_norm,
@@ -45,6 +46,43 @@ def brute_force_circular_convolve(values, kernel_spatial):
                     acc += values[y0, y1] * kernel_spatial[(x0 - y0) % n0, (x1 - y1) % n1]
             out[x0, x1] = acc
     return out
+
+
+KINDS = ("real", "complex")
+# (shape, shifts, constant values) for the direct evaluator: 1-D, odd and
+# non-square 2-D, 1-sample axes.  The constant 14-sample row shifted by one is
+# where a BLAS product in the evaluator broke equivariance.
+DIRECT_CASES = [
+    ((14,), [(1,)], True),
+    ((1,), [(0,)], False),
+    ((7,), [(3,), (6,)], False),
+    ((16,), [(1,), (9,)], False),
+    ((1, 1), [(0, 0)], False),
+    ((1, 9), [(0, 4)], False),
+    ((6, 1), [(5, 0)], False),
+    ((4, 12), [(1, 11), (3, 5)], False),
+    ((5, 7), [(2, 3), (4, 6)], False),
+    ((8, 8), [(1, 0), (7, 3)], False),
+    ((16, 16), [(1, 0), (7, 3), (15, 15)], False),
+]
+# (complex values, complex kernel): all four pairings
+DIRECT_PAIRINGS = [pytest.param((v, k), id=f"{KINDS[v]}-values-{KINDS[k]}-kernel")
+                   for v in (False, True) for k in (False, True)]
+
+
+def direct_operands(shape, constant, pairing, seed=10):
+    """Values and a spatial kernel for the direct evaluator, each real or complex."""
+    rng = np.random.default_rng(seed)
+    complex_values, complex_kernel = pairing
+
+    def draw(is_complex):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if is_complex else a
+
+    values = draw(complex_values)
+    if constant:
+        values = np.full(shape, 0.046875, values.dtype)
+    return values, draw(complex_kernel)
 
 
 class TestPlate:
@@ -301,23 +339,33 @@ class TestConvolve:
         with pytest.raises(ValueError):
             convolve(f, np.ones((4, 4)))
 
-    def test_direct_method_agrees_with_fft(self):
-        rng = np.random.default_rng(10)
-        for shape in [(16,), (8, 8), (4, 12)]:
-            f = SignalGrid(unit_plate(shape), rng.random(shape))
-            kernel_hat = rng.random(shape) + 1j * rng.random(shape)
-            a = convolve(f, kernel_hat, method="fft").values
-            b = convolve(f, kernel_hat, method="direct").values
-            np.testing.assert_allclose(a, b, atol=1e-12)
+    @pytest.mark.parametrize("pairing", DIRECT_PAIRINGS)
+    @pytest.mark.parametrize("shape, shifts, constant", DIRECT_CASES, ids=str)
+    def test_direct_method_agrees_with_fft(self, shape, shifts, constant, pairing):
+        values, kernel = direct_operands(shape, constant, pairing)
+        direct = _direct_circular_convolve(values, kernel)
+        assert direct.dtype == np.result_type(values, kernel) and direct.shape == shape
+        fft = np.fft.ifftn(np.fft.fftn(values) * np.fft.fftn(kernel))
+        oracle = brute_force_circular_convolve(values.astype(np.complex128), kernel)
+        bound = 1e-12 * np.max(np.abs(oracle))
+        for expected in (oracle, fft):
+            assert np.max(np.abs(direct - expected)) <= bound
+        if pairing[1]:
+            # the public wiring: convolve makes the spatial kernel from its DFT
+            f = SignalGrid(unit_plate(shape), values)
+            kernel_hat = np.fft.fftn(kernel)
+            public = convolve(f, kernel_hat, method="direct").values
+            assert np.max(np.abs(public - convolve(f, kernel_hat, method="fft").values)) <= bound
 
-    def test_direct_method_is_bit_exactly_equivariant(self):
-        rng = np.random.default_rng(11)
-        f = SignalGrid(unit_plate((16, 16)), rng.random((16, 16)))
-        kernel_hat = rng.random((16, 16)) + 1j * rng.random((16, 16))
-        for c in [(1, 0), (7, 3), (15, 15)]:
-            lhs = convolve(translate_in_plate(f, c), kernel_hat, method="direct").values
-            rhs = np.roll(convolve(f, kernel_hat, method="direct").values, c, (0, 1))
-            assert np.array_equal(lhs, rhs)
+    @pytest.mark.parametrize("pairing", DIRECT_PAIRINGS)
+    @pytest.mark.parametrize("shape, shifts, constant", DIRECT_CASES, ids=str)
+    def test_direct_method_is_bit_exactly_equivariant(self, shape, shifts, constant, pairing):
+        values, kernel = direct_operands(shape, constant, pairing)
+        out = _direct_circular_convolve(values, kernel)
+        axes = tuple(range(len(shape)))
+        for c in shifts:
+            shifted = _direct_circular_convolve(np.roll(values, c, axes), kernel)
+            assert np.array_equal(shifted, np.roll(out, c, axes)), c
 
     def test_unknown_method_rejected(self):
         f = SignalGrid(unit_plate((4,)), np.ones(4))

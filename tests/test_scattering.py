@@ -448,6 +448,17 @@ class TestSpectralEngine:
         assert sub.plate == subsample_signal(full, 4).plate
         assert np.array_equal(sub.values, full.values[::4, ::4])
 
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("shape, L", [((32, 32), 2), ((9, 15), 2), ((64,), 1)], ids=str)
+    def test_direct_window_agrees_with_the_fft_window(self, shape, L, complex_input):
+        bank = build_morlet_bank(2, L, (64,) * len(shape))
+        f = random_signal(shape, seed=21)
+        if complex_input:
+            f = f.with_values(f.values + 1j * random_signal(shape, seed=22).values)
+        fft, direct = (window(f, bank, method).values for method in ("fft", "direct"))
+        assert direct.dtype == fft.dtype
+        assert np.max(np.abs(direct - fft)) <= 1e-12 * np.max(np.abs(fft))
+
     def test_direct_window_is_subsampled_after_the_full_window(self, bank32):
         f = random_signal((32, 32), seed=20)
         full = window(f, bank32, "direct")
