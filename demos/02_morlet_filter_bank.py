@@ -48,8 +48,9 @@ sigma = bank.spec.morlet_params.sigma0 * 2 ** (bank.J - 1)
 print("\nB measured:", theorem_constant_B(bank))
 print("B analytic e^-1/2 / sigma_phi:", np.exp(-0.5) / sigma)
 
-# Banks are rebuilt on any grid the pooled cascade produces, at matching
-# physical scale, and the identity holds on every realized lattice.
+# Banks are realized on any grid the pooled cascade produces, at matching
+# physical scale; a grid whose axes divide the bank's is a sub-lattice of it,
+# so its filters are the bank's, sampled, and the identity holds there too.
 psi32, phi32 = bank.realize((32, 32))
 defect32 = np.max(np.abs(1.0 - littlewood_paley_sum(psi32.values(), phi32)))
 print("\nframe defect on the realized 32x32 lattice:", defect32)

@@ -13,6 +13,7 @@ via ``equalize=False`` and its (large) frame defect is still measurable with
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -95,13 +96,14 @@ class FilterBank:
 
     The bank keeps one realization per grid shape; ``psi_hat`` and ``phi_hat``
     are the one of ``grid_shape``, built with the bank, and :meth:`realize`
-    builds others (pooled cascades shrink the grid).  The store is the bank's
+    gives others (pooled cascades shrink the grid).  The store is the bank's
     own, so ``dataclasses.replace`` gives a bank that realizes its own spec.
     Every realized filter array, and every psi mapping, is read-only.
     """
 
     spec: BankSpec
     grid_shape: tuple[int, ...]
+    # shape -> (psi mapping, phi, phi's factors)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -131,18 +133,37 @@ class FilterBank:
         return sorted(self.psi_hat)
 
     def realize(self, shape: tuple[int, ...]):
-        """Filters rebuilt on ``shape`` at the same physical scale.
+        """(psi mapping, phi) on ``shape`` at the same physical scale.
 
         Pooling keeps the sample spacing (n samples on side s become n/S
         samples on side s/S), so the same per-sample parameters apply on
-        every grid and the shape alone identifies a realization.
+        every grid and the shape alone identifies a realization.  Where each
+        axis m of ``shape`` divides the bank's n, the filters are the bank
+        grid's at every (n/m)-th bin, as the DFT at m of a kernel folded mod m
+        is its DFT at n folded mod n, so sampled: the frame sum is the bank
+        grid's, sampled, and :data:`EQUALIZE_FLOOR` is relative to its
+        ``A_psi`` peak.  Other shapes are built afresh.
         """
-        shape = tuple(int(n) for n in shape)
-        if len(shape) != len(self.grid_shape):
-            raise ValueError(f"no filters available for a {len(shape)}-dimensional grid "
-                             f"(bank is {len(self.grid_shape)}-dimensional)")
-        if shape not in self._cache:
-            self._cache[shape] = _filters(self.spec, shape)
+        return self._realized(shape)[:2]
+
+    def phi_factors(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """Read-only factors whose product is phi on ``shape``, bit for bit: one per axis if it separates."""
+        return self._realized(shape)[2]
+
+    def _realized(self, shape: tuple[int, ...]):
+        shape = tuple(shape)
+        if shape not in self._cache:  # a hit equals a checked shape: only a miss is checked
+            shape = _grid_axes(shape)
+            if len(shape) != len(self.grid_shape):
+                raise ValueError(f"no filters available for a {len(shape)}-dimensional grid "
+                                 f"(bank is {len(self.grid_shape)}-dimensional)")
+            if all(n % m == 0 for n, m in zip(self.grid_shape, shape)):
+                cut = tuple(slice(None, None, n // m) for n, m in zip(self.grid_shape, shape))
+                psi, phi, factors = self._cache[self.grid_shape]
+                self._cache[shape] = _read_only({k: v[cut].copy() for k, v in psi.items()},
+                                                phi[cut].copy(), [a[cut].copy() for a in factors])
+            else:
+                self._cache[shape] = _filters(self.spec, shape)
         return self._cache[shape]
 
 
@@ -164,21 +185,29 @@ def build_partition_bank(J: int, L: int, grid_shape: tuple[int, ...]) -> FilterB
 
 def _checked_grid(spec: BankSpec, grid_shape: tuple[int, ...]) -> tuple[int, ...]:
     """``grid_shape`` as ints, checked as the grid a bank of ``spec`` is built on."""
-    grid_shape = tuple(int(n) for n in grid_shape)
+    grid_shape = _grid_axes(grid_shape)
     if len(grid_shape) not in (1, 2):
         raise ValueError(f"grid must be 1- or 2-dimensional, got shape {grid_shape}")
     if len(grid_shape) == 1 and spec.L != 1:
         raise ValueError("1-dimensional banks admit no rotations; L must be 1")
     for n in grid_shape:
-        if n < 1:
-            raise ValueError(f"grid axis must be >= 1, got {n}")
         if n % (2 ** spec.J) != 0:
             raise ValueError(f"grid axis {n} is not divisible by 2^J = {2 ** spec.J}")
     return grid_shape
 
 
+def _grid_axes(shape) -> tuple[int, ...]:
+    """``shape`` as a tuple of ints, refusing an axis that is not a whole number >= 1."""
+    for n in shape:
+        if not (isinstance(n, numbers.Real) and n % 1 == 0):
+            raise ValueError(f"grid axis must be a whole number >= 1, got {n!r}")
+        if n < 1:
+            raise ValueError(f"grid axis must be >= 1, got {n!r}")
+    return tuple(int(n) for n in shape)
+
+
 def _filters(spec: BankSpec, shape: tuple[int, ...]):
-    """One read-only realization (psi mapping, phi) of ``spec`` on ``shape``."""
+    """One read-only realization (psi mapping, phi, phi's factors) of ``spec`` on ``shape``."""
     build = _morlet_filters if spec.kind == "morlet" else _partition_filters
     return build(spec, shape)
 
@@ -253,11 +282,13 @@ def _morlet_filters(spec: BankSpec, shape: tuple[int, ...]):
             psi[FilterIndex(j, r)] = _morlet_hat(
                 shape, params.sigma0 * 2 ** j, params.xi0 / 2 ** j, theta, params.slant
             )
-    envelope, _ = _gauss_envelope(len(shape), params.sigma0 * 2 ** (J - 1), 1.0, 0.0)
-    phi = _gauss_hat(shape, envelope)
+    # phi separates: one 1-D Gaussian per axis, shaped by ix_ to broadcast along it
+    envelope, _ = _gauss_envelope(1, params.sigma0 * 2 ** (J - 1), 1.0, 0.0)
+    factors = np.ix_(*(_gauss_hat((n,), envelope) for n in shape))
+    phi = math.prod(factors)  # 1 * a is exact
     if spec.equalize:
         psi = _equalize_wavelets(psi, phi)
-    return _read_only(psi, phi)
+    return _read_only(psi, phi, factors)
 
 
 def _equalize_wavelets(
@@ -304,14 +335,14 @@ def _partition_filters(spec: BankSpec, shape: tuple[int, ...]):
         band = (radius > lower) & (radius <= upper)
         for r in range(L):
             psi[FilterIndex(j, r)] = (band & (sector_of == r)).astype(np.float64)
-    return _read_only(psi, phi)
+    return _read_only(psi, phi, (phi,))
 
 
-def _read_only(psi: dict[FilterIndex, np.ndarray], phi: np.ndarray):
+def _read_only(psi: dict[FilterIndex, np.ndarray], phi: np.ndarray, factors):
     """Freeze one realization (arrays and psi mapping); cascades multiply into their own buffers."""
-    for arr in (*psi.values(), phi):
+    for arr in (*psi.values(), phi, *factors):
         arr.flags.writeable = False
-    return MappingProxyType(psi), phi
+    return MappingProxyType(psi), phi, tuple(factors)
 
 
 # ---------------------------------------------------------------------------

@@ -198,14 +198,17 @@ def _direct_circular_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndar
     """Circular convolution by gathered rows, in a term order fixed by the tap alone.
 
     ``out[x, y] = sum_{i,j} kernel[i, j] * values[(x - i) % n0, (y - j) % n1]``;
-    a 1-D array is one row (n0 = 1).  Three stages, on real arrays:
+    a 1-D array is one row (n0 = 1).  Each kernel axis is the values' length
+    or 1; a length-1 axis is a delta along it, so a separable kernel runs as
+    two calls, one per axis, at n0 + n1 taps per output instead of n0 n1.
+    Three stages, on real arrays, over the kernel's k0 x k1 taps:
 
-    1. ``rows[j, r, y] = values[r, (y - j) % n1]``, the last-axis circulant,
-       made contiguous with j outermost;
+    1. ``rows[j, r, y] = values[r, (y - j) % n1]`` for j < k1, the last-axis
+       circulant, made contiguous with j outermost;
     2. ``part[i, r, y] = sum_j kernel[i, j] * rows[j, r, y]``, one ``np.einsum``
        multiply-add sweep per tap j over every (r, y);
-    3. ``out[x, y] = sum_i part[i, (x - i) % n0, y]``, one sum over a skewed
-       view of ``part`` doubled along r.
+    3. ``out[x, y] = sum_i part[i, (x - i) % n0, y]`` for i < k0, one sum over
+       a skewed view of ``part`` doubled along r.
 
     Each output's terms, and the order they are added in, depend on the tap
     (i, j) alone, never on the output position (x, y).  A circular shift of
@@ -222,25 +225,28 @@ def _direct_circular_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndar
     2 as a matmul broke equivariance on a constant 14-sample signal shifted
     by one.
 
-    Working memory is ``rows`` (m n0 n1^2 floats), then ``part`` and its
-    doubled copy (3 m q n0^2 n1 floats), with m and q the parts of values and
-    kernel (1 real, 2 complex): a 1.6 MB peak at 32^2 with a complex kernel.
+    Working memory is ``rows`` (m n0 n1 k1 floats), then ``part`` and its
+    doubled copy (3 m q n0 n1 k0 floats), with m and q the parts of values and
+    kernel (1 real, 2 complex): a 1.6 MB peak at 32^2 with a full complex kernel.
     """
     shape = values.shape
-    grid = (1,) * (2 - len(shape)) + shape
-    v, k = (_real_parts(a.reshape(grid)) for a in (values, kernel))
-    (m, n0, n1), q = v.shape, len(k)
+    if kernel.ndim != values.ndim or any(k not in (1, n) for k, n in zip(kernel.shape, shape)):
+        raise ValueError(f"kernel shape {kernel.shape} does not fit values of shape {shape}: "
+                         "each kernel axis must be the values' length or 1")
+    pad = (1,) * (2 - len(shape))
+    v, k = (_real_parts(a.reshape(pad + a.shape)) for a in (values, kernel))
+    (m, n0, n1), (q, k0, k1) = v.shape, k.shape
     as_strided = np.lib.stride_tricks.as_strided
     # stage 1: rows[j, a, r, y] = v[a, r, (y - j) % n1], for value part a
     doubled = np.concatenate((v, v), axis=-1)
     s = doubled.strides
-    rows = as_strided(doubled[..., n1:], (n1,) + v.shape, (-s[-1],) + s)
+    rows = as_strided(doubled[..., n1:], (k1,) + v.shape, (-s[-1],) + s)
     # stage 2: part[a, b, i, r, y] = sum_j k[b, i, j] rows[j, a, r, y], for kernel part b
     part = np.einsum("jary,bij->abiry", np.ascontiguousarray(rows), k)
     # stage 3: sums[a, b, x, y] = sum_i part[a, b, i, (x - i) % n0, y]
     doubled = np.concatenate((part, part), axis=3)
     s = doubled.strides
-    skewed = as_strided(doubled[:, :, :, n0:], (m, q, n0, n0, n1),
+    skewed = as_strided(doubled[:, :, :, n0:], (m, q, n0, k0, n1),
                         s[:2] + (s[3], s[2] - s[3], s[4]))
     sums = skewed.sum(axis=3).reshape((m, q) + shape)
     if m * q == 1:

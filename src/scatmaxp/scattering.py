@@ -8,6 +8,7 @@ once (stride 3), without per-layer theory.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import groupby
 from math import comb, prod
@@ -134,8 +135,9 @@ def window(f: SignalGrid, bank: FilterBank, method: str = "fft", step: int = 1) 
     phi_hat is real and symmetric under w -> -w, so a float64 input, or a
     complex one whose imaginary part is all zeros, has a real window, stored
     as float64.  The fft method takes its half spectrum (rfftn/irfftn); the
-    direct method sums against the real part of phi's spatial kernel, whose
-    imaginary part is rounding.
+    direct method sums against the real parts of the spatial kernels of
+    phi's factors (:meth:`FilterBank.phi_factors`), whose imaginary parts are
+    rounding: on a 2-D Morlet bank one pass per axis, each shift-exact.
 
     ``step`` keeps every step-th output sample per axis, as
     :func:`subsample_signal` does.  A real window under the fft method folds
@@ -151,7 +153,10 @@ def window(f: SignalGrid, bank: FilterBank, method: str = "fft", step: int = 1) 
         spectrum *= phi[..., :spectrum.shape[-1]]
         return SignalGrid._adopt(plate, _folded_irfftn(spectrum, f.shape, step))
     if method == "direct" and real:
-        out = f.with_values(_direct_circular_convolve(f.values.real, np.fft.ifftn(phi).real))
+        values = f.values.real
+        for factor in bank.phi_factors(f.shape):
+            values = _direct_circular_convolve(values, np.fft.ifftn(factor).real)
+        out = f.with_values(values)
     else:
         out = convolve(f, phi, method=method)
     return out if step == 1 else subsample_signal(out, step)
@@ -253,6 +258,8 @@ def subsample_signal(f: SignalGrid, factor: int) -> SignalGrid:
 
 def _subsampled_plate(plate: Plate, factor: int) -> Plate:
     """The plate of every factor-th sample: same extent, n / factor samples per axis."""
+    if not (isinstance(factor, numbers.Integral) and factor >= 1):
+        raise ValueError(f"subsampling factor must be an integer >= 1, got {factor!r}")
     for n in plate.samples_per_axis:
         if n % factor != 0:
             raise ValueError(f"{n} samples are not divisible by subsampling factor {factor}")

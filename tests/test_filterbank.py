@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from scatmaxp.filterbank import (
     reflect_frequencies,
     theorem_constant_B,
     _equalize_wavelets,
+    _filters,
     _gauss_envelope,
     _gauss_hat,
 )
@@ -169,6 +171,64 @@ class TestBankConstruction:
         psi2, _ = bank.realize((32, 32))
         assert psi2[FilterIndex(0, 0)] is psi[FilterIndex(0, 0)]
 
+    @pytest.mark.parametrize("kind, equalize", [("morlet", True), ("morlet", False),
+                                                ("partition", True)])
+    @pytest.mark.parametrize("J, L, shape", [(1, 1, (64,)), (3, 1, (64,)), (1, 2, (64, 32)),
+                                             (2, 2, (64, 64)), (3, 8, (64, 32)), (2, 1, (32, 64))])
+    @pytest.mark.parametrize("S", [2, 4])
+    def test_a_pooled_grid_is_a_sub_lattice_of_the_bank_grid(self, kind, equalize, J, L, shape, S):
+        spec = BankSpec(J=J, L=L, kind=kind, equalize=equalize)
+        bank = spec.build(shape)
+        lp = littlewood_paley_sum(bank.psi_hat.values(), bank.phi_hat)
+        peak = max(np.max(np.abs(v)) for v in (*bank.psi_hat.values(), bank.phi_hat))
+        for depth in (1, 2):
+            small = tuple(n // S ** depth for n in shape)
+            psi, phi = bank.realize(small)
+            fresh_psi, fresh_phi, _ = _filters(spec, small)
+            for got, fresh in [(phi, fresh_phi)] + [(psi[k], fresh_psi[k]) for k in fresh_psi]:
+                assert got.flags.c_contiguous and not got.flags.writeable
+                if kind == "partition":
+                    assert np.array_equal(got, fresh)
+                else:
+                    assert np.max(np.abs(got - fresh)) <= 1e-15 * peak
+            # the frame sum on the sub-lattice is the bank grid's, sampled
+            cut = tuple(slice(None, None, S ** depth) for _ in shape)
+            assert np.array_equal(littlewood_paley_sum(psi.values(), phi), lp[cut])
+
+    @pytest.mark.parametrize("kind", ["morlet", "partition"])
+    @pytest.mark.parametrize("shape, other", [((32, 48), [(16, 24), (8, 6), (20, 20)]),
+                                              ((64,), [(32,), (24,)])], ids=str)
+    def test_phi_is_the_product_of_its_factors(self, kind, shape, other):
+        spec = BankSpec(J=1, L=1, kind=kind)
+        bank = spec.build(shape)
+        for grid in [shape] + other:
+            phi, factors = bank.realize(grid)[1], bank.phi_factors(grid)
+            assert all(not a.flags.writeable for a in factors)
+            if kind == "partition" or len(shape) == 1:
+                assert len(factors) == 1 and np.array_equal(factors[0], phi)
+            else:
+                assert [a.shape for a in factors] == [(grid[0], 1), (1, grid[1])]
+                assert np.array_equal(phi, np.outer(*factors))
+
+    @pytest.mark.parametrize("shape, message", [
+        ((0, 0), "grid axis must be >= 1, got 0"),
+        ((-4, 8), "grid axis must be >= 1, got -4"),
+        ((32.5, 32), "grid axis must be a whole number >= 1, got 32.5"),
+        ((32.7, 32), "grid axis must be a whole number >= 1, got 32.7"),
+        ((32, "32"), "grid axis must be a whole number >= 1, got '32'"),
+        ((math.nan, 32), "grid axis must be a whole number >= 1, got nan"),
+        ((0.0, 32), "grid axis must be >= 1, got 0.0"),
+    ])
+    def test_a_grid_axis_below_1_or_not_whole_is_refused(self, shape, message):
+        bank = build_morlet_bank(2, 2, (32, 32))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bank.realize(shape)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_morlet_bank(2, 2, shape)
+        # a whole number of any numeric type names the grid it equals
+        phi = bank.realize((np.int64(16), 16.0))[1]
+        assert phi.shape == (16, 16) and bank.realize((16, 16))[1] is phi
+
     @pytest.mark.parametrize("J, L, shape, smaller", [
         (2, 2, (32, 32), (16, 16)), (3, 8, (64, 64), (32, 32)), (3, 1, (64,), (32,))])
     def test_one_forward_transform_per_filter(self, J, L, shape, smaller, monkeypatch):
@@ -181,11 +241,13 @@ class TestBankConstruction:
 
         monkeypatch.setattr(np.fft, "fftn", counting)
         bank = build_morlet_bank(J, L, shape)
-        assert len(calls) == J * L + 1  # one per wavelet, one for phi
-        bank.realize(smaller)
-        assert len(calls) == 2 * (J * L + 1)
-        bank.realize(smaller)  # cached: no further transform
-        assert len(calls) == 2 * (J * L + 1)
+        # one per wavelet, then one 1-D transform per axis for phi's factors
+        assert calls == [shape] * (J * L) + [(n,) for n in shape]
+        bank.realize(smaller)  # a sub-lattice of the bank grid: no transform
+        bank.realize(smaller)  # cached: no transform
+        assert len(calls) == J * L + len(shape)
+        bank.realize(tuple(n - 8 for n in shape))  # not a sub-lattice: built afresh
+        assert len(calls) == 2 * (J * L + len(shape))
 
 
 def alias_sum_gaussian(shape, sigma, center, slant, theta):

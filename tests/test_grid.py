@@ -49,40 +49,59 @@ def brute_force_circular_convolve(values, kernel_spatial):
 
 
 KINDS = ("real", "complex")
-# (shape, shifts, constant values) for the direct evaluator: 1-D, odd and
-# non-square 2-D, 1-sample axes.  The constant 14-sample row shifted by one is
-# where a BLAS product in the evaluator broke equivariance.
+
+
+def direct_case(shape, shifts, constant=False, kernel_shape=None):
+    """One evaluator case; ``kernel_shape`` keeps some axes at 1 (a delta along them)."""
+    case_id = f"{shape}-{shifts}-{constant}" + (f"-kernel{kernel_shape}" if kernel_shape else "")
+    return pytest.param(shape, shifts, constant, kernel_shape or shape, id=case_id)
+
+
+# (shape, shifts, constant values, kernel shape) for the direct evaluator: 1-D,
+# odd and non-square 2-D, 1-sample axes, and kernels with length-1 axes (the
+# two passes of a separable kernel).  The constant 14-sample row shifted by one
+# is where a BLAS product in the evaluator broke equivariance.
 DIRECT_CASES = [
-    ((14,), [(1,)], True),
-    ((1,), [(0,)], False),
-    ((7,), [(3,), (6,)], False),
-    ((16,), [(1,), (9,)], False),
-    ((1, 1), [(0, 0)], False),
-    ((1, 9), [(0, 4)], False),
-    ((6, 1), [(5, 0)], False),
-    ((4, 12), [(1, 11), (3, 5)], False),
-    ((5, 7), [(2, 3), (4, 6)], False),
-    ((8, 8), [(1, 0), (7, 3)], False),
-    ((16, 16), [(1, 0), (7, 3), (15, 15)], False),
+    direct_case((14,), [(1,)], True),
+    direct_case((1,), [(0,)]),
+    direct_case((7,), [(3,), (6,)]),
+    direct_case((16,), [(1,), (9,)]),
+    direct_case((1, 1), [(0, 0)]),
+    direct_case((1, 9), [(0, 4)]),
+    direct_case((6, 1), [(5, 0)]),
+    direct_case((4, 12), [(1, 11), (3, 5)]),
+    direct_case((5, 7), [(2, 3), (4, 6)]),
+    direct_case((8, 8), [(1, 0), (7, 3)]),
+    direct_case((16, 16), [(1, 0), (7, 3), (15, 15)]),
+    direct_case((14,), [(1,)], True, (1,)),
+    direct_case((14, 14), [(1, 0), (0, 1)], True, (14, 1)),
+    direct_case((5, 7), [(2, 3), (4, 6)], False, (5, 1)),
+    direct_case((5, 7), [(2, 3), (4, 6)], False, (1, 7)),
+    direct_case((16, 48), [(5, 11), (15, 47)], False, (16, 1)),
+    direct_case((16, 48), [(5, 11), (15, 47)], False, (1, 48)),
+    direct_case((6, 1), [(5, 0)], False, (1, 1)),
 ]
 # (complex values, complex kernel): all four pairings
 DIRECT_PAIRINGS = [pytest.param((v, k), id=f"{KINDS[v]}-values-{KINDS[k]}-kernel")
                    for v in (False, True) for k in (False, True)]
 
 
-def direct_operands(shape, constant, pairing, seed=10):
-    """Values and a spatial kernel for the direct evaluator, each real or complex."""
+def direct_operands(shape, constant, pairing, kernel_shape, seed=10):
+    """Values, a spatial kernel of ``kernel_shape`` and its zero-padded full-size form."""
     rng = np.random.default_rng(seed)
     complex_values, complex_kernel = pairing
 
-    def draw(is_complex):
+    def draw(shape, is_complex):
         a = rng.standard_normal(shape)
         return a + 1j * rng.standard_normal(shape) if is_complex else a
 
-    values = draw(complex_values)
+    values = draw(shape, complex_values)
     if constant:
         values = np.full(shape, 0.046875, values.dtype)
-    return values, draw(complex_kernel)
+    kernel = draw(kernel_shape, complex_kernel)
+    full = np.zeros(shape, kernel.dtype)
+    full[tuple(slice(0, k) for k in kernel_shape)] = kernel
+    return values, kernel, full
 
 
 class TestPlate:
@@ -340,32 +359,40 @@ class TestConvolve:
             convolve(f, np.ones((4, 4)))
 
     @pytest.mark.parametrize("pairing", DIRECT_PAIRINGS)
-    @pytest.mark.parametrize("shape, shifts, constant", DIRECT_CASES, ids=str)
-    def test_direct_method_agrees_with_fft(self, shape, shifts, constant, pairing):
-        values, kernel = direct_operands(shape, constant, pairing)
+    @pytest.mark.parametrize("shape, shifts, constant, kernel_shape", DIRECT_CASES)
+    def test_direct_method_agrees_with_fft(self, shape, shifts, constant, kernel_shape, pairing):
+        values, kernel, full = direct_operands(shape, constant, pairing, kernel_shape)
         direct = _direct_circular_convolve(values, kernel)
         assert direct.dtype == np.result_type(values, kernel) and direct.shape == shape
-        fft = np.fft.ifftn(np.fft.fftn(values) * np.fft.fftn(kernel))
-        oracle = brute_force_circular_convolve(values.astype(np.complex128), kernel)
+        fft = np.fft.ifftn(np.fft.fftn(values) * np.fft.fftn(full))
+        oracle = brute_force_circular_convolve(values.astype(np.complex128), full)
         bound = 1e-12 * np.max(np.abs(oracle))
         for expected in (oracle, fft):
             assert np.max(np.abs(direct - expected)) <= bound
         if pairing[1]:
             # the public wiring: convolve makes the spatial kernel from its DFT
             f = SignalGrid(unit_plate(shape), values)
-            kernel_hat = np.fft.fftn(kernel)
+            kernel_hat = np.fft.fftn(full)
             public = convolve(f, kernel_hat, method="direct").values
             assert np.max(np.abs(public - convolve(f, kernel_hat, method="fft").values)) <= bound
 
     @pytest.mark.parametrize("pairing", DIRECT_PAIRINGS)
-    @pytest.mark.parametrize("shape, shifts, constant", DIRECT_CASES, ids=str)
-    def test_direct_method_is_bit_exactly_equivariant(self, shape, shifts, constant, pairing):
-        values, kernel = direct_operands(shape, constant, pairing)
+    @pytest.mark.parametrize("shape, shifts, constant, kernel_shape", DIRECT_CASES)
+    def test_direct_method_is_bit_exactly_equivariant(self, shape, shifts, constant,
+                                                      kernel_shape, pairing):
+        values, kernel, _ = direct_operands(shape, constant, pairing, kernel_shape)
         out = _direct_circular_convolve(values, kernel)
         axes = tuple(range(len(shape)))
         for c in shifts:
             shifted = _direct_circular_convolve(np.roll(values, c, axes), kernel)
             assert np.array_equal(shifted, np.roll(out, c, axes)), c
+
+    @pytest.mark.parametrize("shape, kernel_shape", [((8, 8), (4, 8)), ((8, 8), (8,)),
+                                                      ((8,), (4,)), ((8,), (8, 1))])
+    def test_direct_method_refuses_a_kernel_shape_by_name(self, shape, kernel_shape):
+        message = f"kernel shape {kernel_shape} does not fit values of shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _direct_circular_convolve(np.ones(shape), np.ones(kernel_shape))
 
     def test_unknown_method_rejected(self):
         f = SignalGrid(unit_plate((4,)), np.ones(4))

@@ -1,6 +1,7 @@
 """Path enumeration, the three cascades, and the architecture arithmetic."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,14 @@ from scatmaxp.filterbank import (
     build_partition_bank,
     reflect_frequencies,
 )
-from scatmaxp.grid import SignalGrid, convolve, l2_norm, translate_in_plate, unit_plate
+from scatmaxp.grid import (
+    SignalGrid,
+    _direct_circular_convolve,
+    convolve,
+    l2_norm,
+    translate_in_plate,
+    unit_plate,
+)
 from scatmaxp.pooling import max_pool
 from scatmaxp.scattering import (
     PoolConfig,
@@ -449,7 +457,8 @@ class TestSpectralEngine:
         assert np.array_equal(sub.values, full.values[::4, ::4])
 
     @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("shape, L", [((32, 32), 2), ((9, 15), 2), ((64,), 1)], ids=str)
+    @pytest.mark.parametrize("shape, L", [((32, 32), 2), ((9, 15), 2), ((64,), 1),
+                                          ((32, 64), 2), ((16, 48), 2)], ids=str)
     def test_direct_window_agrees_with_the_fft_window(self, shape, L, complex_input):
         bank = build_morlet_bank(2, L, (64,) * len(shape))
         f = random_signal(shape, seed=21)
@@ -458,6 +467,23 @@ class TestSpectralEngine:
         fft, direct = (window(f, bank, method).values for method in ("fft", "direct"))
         assert direct.dtype == fft.dtype
         assert np.max(np.abs(direct - fft)) <= 1e-12 * np.max(np.abs(fft))
+        if not complex_input:
+            # one pass per axis of phi's factors against phi's full spatial kernel
+            full = _direct_circular_convolve(f.values, np.fft.ifftn(bank.realize(shape)[1]).real)
+            assert np.max(np.abs(direct - full)) <= 1e-12 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("shape, shift", [((32, 32), (5, 11)), ((32, 64), (31, 1)),
+                                              ((16, 48), (3, 40)), ((64,), (17,))], ids=str)
+    def test_direct_window_commutes_with_circular_shifts(self, shape, shift, complex_input):
+        # a (16, 48) grid is not a sub-lattice of the bank's: its filters are built afresh
+        bank = build_morlet_bank(2, 1 if len(shape) == 1 else 2, (64,) * len(shape))
+        f = random_signal(shape, seed=23)
+        if complex_input:
+            f = f.with_values(f.values + 1j * random_signal(shape, seed=24).values)
+        out = window(f, bank, "direct").values
+        shifted = window(translate_in_plate(f, shift), bank, "direct").values
+        assert np.array_equal(shifted, np.roll(out, shift, tuple(range(len(shape)))))
 
     def test_direct_window_is_subsampled_after_the_full_window(self, bank32):
         f = random_signal((32, 32), seed=20)
@@ -560,6 +586,19 @@ class TestBlockHelpers:
             subsample_signal(f, 2)
         kept = subsample_signal(f, 3)
         assert np.array_equal(kept.values.real, [0.0, 3.0, 6.0])
+
+    @pytest.mark.parametrize("factor", [0, -2, 2.0, 1.5])
+    def test_a_subsampling_factor_below_1_or_not_an_integer_is_refused(self, factor, bank32,
+                                                                       monkeypatch):
+        f = random_signal((32, 32))
+        message = f"subsampling factor must be an integer >= 1, got {factor!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            subsample_signal(f, factor)
+        # the window refuses it before any transform
+        monkeypatch.setattr(np.fft, "rfftn", lambda *a, **k: pytest.fail("transformed"))
+        for method in ("fft", "direct"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                window(f, bank32, method, factor)
 
 
 class TestArchitectureArithmetic:
