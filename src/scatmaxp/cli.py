@@ -315,8 +315,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_bench(cfg: RunConfig) -> int:
     modes = [m.strip() for m in cfg.bench_modes.split(",") if m.strip()]
-    for mode in modes:
+    if not modes:
+        raise ValueError(f"bench modes name no mode, got {cfg.bench_modes!r}")
+    for i, mode in enumerate(modes):
         check_mode(mode)
+        if mode in modes[:i]:
+            raise ValueError(f"bench modes name {mode!r} twice")
     if cfg.bench_batch < 1:
         raise ValueError(f"need at least one signal in the batch, got {cfg.bench_batch}")
     rng = np.random.default_rng(cfg.seed)

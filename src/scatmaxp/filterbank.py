@@ -22,6 +22,13 @@ import numpy as np
 
 BANK_KINDS = ("morlet", "partition")
 EQUALIZE_FLOOR = np.finfo(np.float64).eps  # A_psi at or below this share of its peak is rounding
+# The longest axis phi gets a circulant on (FilterBank.phi_circulants).  A matrix
+# holds n^2 float64 (392 KiB at 224), so the cap is first a memory guard: a 1-D
+# bank on 32768 samples would need 8 GiB.  224 is the largest 2-D axis measured
+# to window faster by matrix products than by the FFT pair at full resolution
+# (they lose from 240^2 on; in 1-D from between 256 and 512 samples).  No
+# benchmark workload has a longer axis, so the figure is not tuned further.
+CIRCULANT_MAX_SAMPLES = 224
 
 
 class FilterIndex(NamedTuple):
@@ -103,14 +110,14 @@ class FilterBank:
 
     spec: BankSpec
     grid_shape: tuple[int, ...]
-    # shape -> (psi mapping, phi, phi's factors)
+    # shape -> (psi mapping, phi, phi's factors, their kernels, their circulants)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = _checked_grid(self.spec, self.grid_shape)
         object.__setattr__(self, "grid_shape", shape)
         # not through realize, which perfbench/tracing.py counts per call
-        self._cache[shape] = _filters(self.spec, shape)
+        self._store(shape, _filters(self.spec, shape))
 
     @property
     def J(self) -> int:
@@ -142,13 +149,40 @@ class FilterBank:
         grid's at every (n/m)-th bin, as the DFT at m of a kernel folded mod m
         is its DFT at n folded mod n, so sampled: the frame sum is the bank
         grid's, sampled, and :data:`EQUALIZE_FLOOR` is relative to its
-        ``A_psi`` peak.  Other shapes are built afresh.
+        ``A_psi`` peak.  Other shapes are built afresh.  Either way the
+        realization also holds phi's factors (:meth:`phi_factors`), their
+        spatial kernels (:meth:`phi_kernels`) and, when they separate, the
+        kernels' circulants (:meth:`phi_circulants`), all made from the
+        factors on ``shape`` itself.
         """
         return self._realized(shape)[:2]
 
     def phi_factors(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """Read-only factors whose product is phi on ``shape``, bit for bit: one per axis if it separates."""
+        """Read-only factors whose product is phi on ``shape``, bit for bit.
+
+        A Morlet phi separates: one factor per axis, varying along that axis
+        only (shaped by ``np.ix_`` to broadcast along it).  A partition phi
+        is its own one factor, which separates only on a 1-D grid.
+        """
         return self._realized(shape)[2]
+
+    def phi_kernels(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """Read-only spatial kernels ``ifftn(factor).real`` of :meth:`phi_factors`, shaped alike.
+
+        Their imaginary parts are rounding, as phi_hat is real and symmetric.
+        """
+        return self._realized(shape)[3]
+
+    def phi_circulants(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """phi's circulant matrices on ``shape``, one per axis and read-only, or ().
+
+        ``C_a[x, y] = k_a[(x - y) % n_a]`` with ``k_a`` the kernel of phi's
+        factor along axis a (:meth:`phi_kernels`), so a real u is low-pass
+        filtered as ``C_0 u C_1^T`` (``C_0 u`` in 1-D).  Each holds n_a^2
+        float64, so there are none where phi does not separate or an axis is
+        longer than :data:`CIRCULANT_MAX_SAMPLES`.
+        """
+        return self._realized(shape)[4]
 
     def _realized(self, shape: tuple[int, ...]):
         shape = tuple(shape)
@@ -159,12 +193,22 @@ class FilterBank:
                                  f"(bank is {len(self.grid_shape)}-dimensional)")
             if all(n % m == 0 for n, m in zip(self.grid_shape, shape)):
                 cut = tuple(slice(None, None, n // m) for n, m in zip(self.grid_shape, shape))
-                psi, phi, factors = self._cache[self.grid_shape]
-                self._cache[shape] = _read_only({k: v[cut].copy() for k, v in psi.items()},
-                                                phi[cut].copy(), [a[cut].copy() for a in factors])
+                psi, phi, factors = self._cache[self.grid_shape][:3]
+                self._store(shape, _read_only({k: v[cut].copy() for k, v in psi.items()},
+                                              phi[cut].copy(), [a[cut].copy() for a in factors]))
             else:
-                self._cache[shape] = _filters(self.spec, shape)
+                self._store(shape, _filters(self.spec, shape))
         return self._cache[shape]
+
+    def _store(self, shape: tuple[int, ...], realization) -> None:
+        """Keep a realization (psi mapping, phi, factors) with its factors' kernels and circulants."""
+        kernels = []
+        for a in realization[2]:
+            # a copy, so a kept kernel does not hold the complex transform behind a view
+            kernel = np.fft.ifftn(a).real.copy()
+            kernel.flags.writeable = False
+            kernels.append(kernel)
+        self._cache[shape] = (*realization, tuple(kernels), _circulants(kernels))
 
 
 def build_morlet_bank(J: int, L: int, grid_shape: tuple[int, ...],
@@ -249,17 +293,24 @@ def _gauss_envelope(
 
 
 def _gauss_hat(shape: tuple[int, ...], spatial: np.ndarray) -> np.ndarray:
-    """DFT of a centered spatial box summed into ``shape``'s bins by index mod n."""
+    """DFT of a centered spatial box summed into ``shape``'s bins by index mod n.
+
+    Per axis the box is added into n zeroed bins in runs of at most n
+    samples, from its first sample x = -(m // 2) on, so each bin sums its
+    samples in increasing x, one run after another.
+    """
     for axis, n in enumerate(shape):
         m = spatial.shape[axis]
-        # front padding puts x = -(m // 2) at an index congruent to it mod n
-        front = -(m // 2) % n
-        rows = -(-(front + m) // n)
-        widths = [(0, 0)] * spatial.ndim
-        widths[axis] = (front, rows * n - front - m)
-        padded = np.pad(spatial, widths)
-        folded_shape = padded.shape[:axis] + (rows, n) + padded.shape[axis + 1:]
-        spatial = padded.reshape(folded_shape).sum(axis)
+        folded = np.zeros(spatial.shape[:axis] + (n,) + spatial.shape[axis + 1:], spatial.dtype)
+        target = [slice(None)] * spatial.ndim
+        source = [slice(None)] * spatial.ndim
+        start, bin_ = 0, -(m // 2) % n
+        while start < m:
+            run = min(n - bin_, m - start)
+            target[axis], source[axis] = slice(bin_, bin_ + run), slice(start, start + run)
+            folded[tuple(target)] += spatial[tuple(source)]
+            start, bin_ = start + run, 0
+        spatial = folded
     # a copy, so a kept filter does not hold the complex transform behind a view
     return np.fft.fftn(spatial).real.copy()
 
@@ -343,6 +394,29 @@ def _read_only(psi: dict[FilterIndex, np.ndarray], phi: np.ndarray, factors):
     for arr in (*psi.values(), phi, *factors):
         arr.flags.writeable = False
     return MappingProxyType(psi), phi, tuple(factors)
+
+
+def _circulants(kernels) -> tuple[np.ndarray, ...]:
+    """Read-only ``C_a[x, y] = k_a[(x - y) % n]``, one per axis, for phi's kernels k_a.
+
+    () unless every kernel varies along its own axis alone and no axis is
+    longer than :data:`CIRCULANT_MAX_SAMPLES`.  Row x of ``C_a`` is the
+    doubled kernel read backwards from index n + x, so each matrix is one
+    copy of a strided view of it.
+    """
+    d = len(kernels)
+    if any(k.ndim != d or k.size != k.shape[axis] or k.size > CIRCULANT_MAX_SAMPLES
+           for axis, k in enumerate(kernels)):
+        return ()
+    matrices = []
+    for k in kernels:
+        n = k.size
+        doubled = np.concatenate((k.ravel(), k.ravel()))
+        step = doubled.strides[0]
+        matrix = np.lib.stride_tricks.as_strided(doubled[n:], (n, n), (step, -step)).copy()
+        matrix.flags.writeable = False
+        matrices.append(matrix)
+    return tuple(matrices)
 
 
 # ---------------------------------------------------------------------------

@@ -645,8 +645,15 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("modes, message", [
         ("plain,plian", "unknown mode 'plian'"),
+        (",", "bench modes name no mode, got ','"),
+        ("maxp,plain,maxp", "bench modes name 'maxp' twice"),
     ])
-    def test_bad_mode_list_fails_before_any_tree(self, tmp_path, capsys, modes, message):
+    def test_bad_mode_list_fails_before_any_bank(self, tmp_path, capsys, monkeypatch, modes,
+                                                  message):
+        def no_bank(self, shape):
+            raise AssertionError("a bank was built")
+
+        monkeypatch.setattr(BankSpec, "build", no_bank)
         cfg_file = tmp_path / "bench.cfg"
         cfg_file.write_text(f"subsample_outputs = true\nbench_modes = {modes}\n")
         out = tmp_path / "bench"

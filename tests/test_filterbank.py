@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scatmaxp.filterbank import (
+    CIRCULANT_MAX_SAMPLES,
     BankSpec,
     FilterIndex,
     MorletParams,
@@ -210,6 +211,36 @@ class TestBankConstruction:
                 assert [a.shape for a in factors] == [(grid[0], 1), (1, grid[1])]
                 assert np.array_equal(phi, np.outer(*factors))
 
+    @pytest.mark.parametrize("kind", ["morlet", "partition"])
+    @pytest.mark.parametrize("shape, other", [((32, 48), [(16, 24), (8, 6), (20, 20)]),
+                                              ((64,), [(32,), (24,)])], ids=str)
+    def test_phi_circulants_hold_the_kernels_of_its_factors(self, kind, shape, other):
+        bank = BankSpec(J=1, L=1, kind=kind).build(shape)
+        for grid in [shape] + other:
+            kernels, circulants = bank.phi_kernels(grid), bank.phi_circulants(grid)
+            # realized once per shape
+            assert bank.phi_kernels(grid) is kernels and bank.phi_circulants(grid) is circulants
+            for factor, kernel in zip(bank.phi_factors(grid), kernels, strict=True):
+                assert np.array_equal(kernel, np.fft.ifftn(factor).real)
+                assert kernel.shape == factor.shape and not kernel.flags.writeable
+            if kind == "partition" and len(grid) == 2:
+                assert circulants == ()  # the disc does not separate
+                continue
+            assert [c.shape for c in circulants] == [(n, n) for n in grid]
+            for kernel, c, n in zip(kernels, circulants, grid):
+                # the n^2 gather that one copy of a strided view replaces
+                x, y = np.indices((n, n))
+                assert np.array_equal(c, kernel.ravel()[(x - y) % n])
+                assert c.flags.c_contiguous and not c.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(2 * CIRCULANT_MAX_SAMPLES,), (256, 256),
+                                       (2 * CIRCULANT_MAX_SAMPLES, 8)], ids=str)
+    def test_no_circulant_beyond_the_longest_axis(self, shape):
+        bank = build_morlet_bank(1, len(shape), shape)
+        assert bank.phi_circulants(shape) == ()
+        short = tuple(min(n, CIRCULANT_MAX_SAMPLES) for n in shape)
+        assert [c.shape[0] for c in bank.phi_circulants(short)] == list(short)
+
     @pytest.mark.parametrize("shape, message", [
         ((0, 0), "grid axis must be >= 1, got 0"),
         ((-4, 8), "grid axis must be >= 1, got -4"),
@@ -340,6 +371,32 @@ class TestPoissonSummation:
             assert np.max(np.abs(bank.psi_hat[index] - expected)) <= 1e-13 * terms
         sigma_phi = params.sigma0 * 2 ** (J - 1)
         assert_close_to_max(bank.phi_hat, alias_sum_gaussian(shape, sigma_phi, (0.0, 0.0), 1.0, 0.0))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 16), (24, 40), (224, 224), (40, 24),
+                                       (8,), (24,), (224,)], ids=str)
+    def test_the_fold_adds_the_box_as_the_padded_row_sum_did(self, shape):
+        # oracle: pad each axis to whole periods and sum the periods; the runs must give
+        # the same bits whether the J = 3, L = 8 boxes wrap (113 samples on 8) or not
+        def padded_fold(shape, spatial):
+            for axis, n in enumerate(shape):
+                m = spatial.shape[axis]
+                front = -(m // 2) % n
+                rows = -(-(front + m) // n)
+                widths = [(0, 0)] * spatial.ndim
+                widths[axis] = (front, rows * n - front - m)
+                padded = np.pad(spatial, widths)
+                spatial = padded.reshape(padded.shape[:axis] + (rows, n)
+                                         + padded.shape[axis + 1:]).sum(axis)
+            return np.fft.fftn(spatial).real.copy()
+
+        spec = BankSpec(J=3, L=8 if len(shape) == 2 else 1, equalize=False)
+        params = spec.morlet_params
+        for j in range(spec.J):
+            for r in range(spec.L):
+                envelope, xr = _gauss_envelope(len(shape), params.sigma0 * 2 ** j, params.slant,
+                                               math.pi * r / spec.L)
+                for box in (envelope, envelope * (np.exp(1j * params.xi0 / 2 ** j * xr) - 0.3)):
+                    assert np.array_equal(_gauss_hat(shape, box), padded_fold(shape, box))
 
 
 class TestFrameDefect:

@@ -1,8 +1,12 @@
 """Path enumeration, the three cascades, and the architecture arithmetic."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from scatmaxp import pooling, scattering
 from scatmaxp.filterbank import (
+    CIRCULANT_MAX_SAMPLES,
     FilterIndex,
     build_morlet_bank,
     build_partition_bank,
@@ -39,6 +44,22 @@ from scatmaxp.scattering import (
     window,
 )
 from scatmaxp.verify import EXACT_RTOL
+
+from test_grid import brute_force_circular_convolve
+
+# the output digest of one unsubsampled and one subsampled 128^2 tree, printed by a fresh process
+TREE_DIGEST = """
+import hashlib
+import numpy as np
+from scatmaxp import SignalGrid, build_morlet_bank, compute_tree, unit_plate
+f = SignalGrid(unit_plate((128, 128)), np.random.default_rng(26).random((128, 128)))
+bank = build_morlet_bank(2, 2, (128, 128))
+digest = hashlib.sha256()
+for subsample in (False, True):
+    for g in compute_tree(f, bank, "plain", 1, output_subsample=subsample).outputs.values():
+        digest.update(g.values.tobytes())
+print(digest.hexdigest())
+"""
 
 
 @pytest.fixture(scope="module")
@@ -493,17 +514,43 @@ class TestSpectralEngine:
         assert np.array_equal(sub.values, full.values[::4, ::4])
 
     @settings(max_examples=30, deadline=None, database=None)
-    @given(data=st.data(), d=st.integers(1, 2))
-    def test_unfolded_window_is_numpys_irfftn(self, data, d):
+    @given(data=st.data(), d=st.integers(1, 2), kind=st.sampled_from(["morlet", "partition"]))
+    def test_unfolded_window_agrees_with_numpys_irfftn(self, data, d, kind):
         shape = data.draw(st.tuples(*[st.integers(4, 40)] * d), label="shape")
         values = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)),
                            label="values")
-        bank = build_morlet_bank(2, 1 if d == 1 else 2, (64,) * d)  # realized on any grid
+        build = build_morlet_bank if kind == "morlet" else build_partition_bank
+        bank = build(2, 1 if d == 1 else 2, (64,) * d)  # realized on any grid
         axes = tuple(range(d))
         spectrum = np.fft.rfftn(values, axes=axes)
-        phi = bank.realize(shape)[1][..., :spectrum.shape[-1]]
-        expected = np.fft.irfftn(spectrum * phi, s=shape, axes=axes)
-        assert np.array_equal(window(SignalGrid(unit_plate(shape), values), bank).values, expected)
+        phi = bank.realize(shape)[1]
+        expected = np.fft.irfftn(spectrum * phi[..., :spectrum.shape[-1]], s=shape, axes=axes)
+        got = window(SignalGrid(unit_plate(shape), values), bank).values
+        if kind == "partition" and d == 2:
+            # the disc does not separate, so its window is numpy's irfftn itself
+            assert not bank.phi_circulants(shape)
+            assert np.array_equal(got, expected)
+        else:
+            # below the smallest normal float64 rounding is absolute (see is_sliced)
+            bound = 1e-13 * np.max(np.abs(expected)) + np.finfo(np.float64).tiny
+            assert np.max(np.abs(got - expected)) <= bound
+            if max(shape) <= 24:  # the brute-force oracle loops over n0^2 n1^2 terms
+                brute = brute_force_circular_convolve(values.astype(complex), np.fft.ifftn(phi))
+                assert np.max(np.abs(got - brute.real)) <= bound
+
+    @pytest.mark.parametrize("shape", [(2 * CIRCULANT_MAX_SAMPLES,), (256, 256),
+                                       (2 * CIRCULANT_MAX_SAMPLES, 8)], ids=str)
+    def test_a_window_without_circulants_is_numpys_irfftn(self, shape):
+        # past the longest circulant axis the window stays on the half spectrum; at
+        # 256^2 the FFT pair is the faster of the two
+        bank = build_morlet_bank(1, len(shape), shape)
+        values = random_signal(shape, seed=25).values
+        axes = tuple(range(len(shape)))
+        spectrum = np.fft.rfftn(values, axes=axes)
+        expected = np.fft.irfftn(spectrum * bank.phi_hat[..., :spectrum.shape[-1]], s=shape,
+                                 axes=axes)
+        assert np.array_equal(window(SignalGrid(unit_plate(shape), values), bank).values,
+                              expected)
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(data=st.data(), d=st.integers(1, 2), J=st.integers(1, 3))
@@ -521,24 +568,6 @@ class TestSpectralEngine:
         assert is_sliced(got, full, (slice(None, None, step),) * d)
         assert not got.values.flags.writeable and got.values.flags.c_contiguous
 
-    @pytest.mark.parametrize("output_subsample", [False, True])
-    @pytest.mark.parametrize("mode", ["plain", "maxp", "naivep"])
-    def test_one_window_call_per_node_in_node_order(self, bank32, monkeypatch, mode,
-                                                    output_subsample):
-        # perfbench/tracing.py assigns each window call its depth by call order
-        seen = []
-        original = scattering.window
-
-        def recording(f, *args, **kwargs):
-            seen.append(f)
-            return original(f, *args, **kwargs)
-
-        monkeypatch.setattr(scattering, "window", recording)
-        tree = compute_tree(random_signal((32, 32), seed=19), bank32, mode, 2,
-                            pool_cfg=PoolConfig(2, 2.0, "off"), output_subsample=output_subsample)
-        assert len(seen) == len(tree.nodes)
-        assert all(a is b for a, b in zip(seen, tree.nodes.values()))
-
     @pytest.mark.parametrize("mode", ["plain", "maxp", "naivep"])
     def test_every_array_the_cascade_makes_is_read_only(self, bank32, mode):
         # the cascade adopts the arrays it makes instead of copying them
@@ -549,6 +578,18 @@ class TestSpectralEngine:
                                     output_subsample=output_subsample, conv_method=conv_method)
                 grids = list(tree.nodes.values()) + list(tree.outputs.values())
                 assert not any(g.values.flags.writeable for g in grids)
+
+    def test_windows_do_not_depend_on_the_blas_thread_count(self):
+        # windows are BLAS matrix products; 128^2 is large enough for BLAS to split them
+        env = dict(os.environ, PYTHONPATH=str(Path(scattering.__file__).resolve().parents[1]))
+        digests = set()
+        for threads in ("1", "2"):
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", TREE_DIGEST], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.add(run.stdout)
+        assert len(digests) == 1
 
     @pytest.mark.parametrize("kind", ["equalized", "raw", "partition"])
     def test_phi_is_real_and_symmetric_on_every_realized_grid(self, kind):

@@ -4,6 +4,7 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from scatmaxp import cli, filterbank, scattering, verify
 from scatmaxp.grid import SignalGrid, unit_plate
@@ -62,3 +63,31 @@ def test_bank_contract_the_tracer_reads(monkeypatch):
     hits = [s.attrs["hit"] for s in tracer.spans if s.name == "filterbank.realize"]
     pooled_shapes = {g.shape for g in tree.nodes.values()} - {bank.grid_shape}
     assert hits[-1] and hits.count(False) == len(pooled_shapes) == 2
+
+
+@pytest.mark.parametrize("output_subsample", [False, True])
+@pytest.mark.parametrize("mode", ["plain", "maxp", "naivep"])
+def test_one_window_span_per_node_in_node_order(monkeypatch, mode, output_subsample):
+    # the tracer gives the k-th window span under a tree the depth of the k-th node
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))
+    tracing = importlib.import_module("tracing")
+    windowed = []
+    original = scattering.window
+
+    def recording(f, *args, **kwargs):
+        windowed.append(f)
+        return original(f, *args, **kwargs)
+
+    monkeypatch.setattr(scattering, "window", recording)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        bank = filterbank.BankSpec(J=2, L=2).build((16, 16))
+        f = SignalGrid(unit_plate((16, 16)), np.random.default_rng(2).random((16, 16)))
+        tree = scattering.compute_tree(f, bank, mode, 2, output_subsample=output_subsample)
+    spans = [s for s in tracer.spans if s.name == "scattering.window"]
+    assert all(s.parent is not None and s.parent.name == "scattering.tree" for s in spans)
+    assert len(spans) == len(windowed) == len(tree.nodes)
+    assert all(g is node for g, node in zip(windowed, tree.nodes.values()))
+    counts = tracing.paths_per_depth(2, 2, 2, "full")
+    assert [tracing._depth_of(k, counts, 0) for k in range(len(spans))] == [
+        len(path) for path in tree.nodes]

@@ -243,7 +243,9 @@ def test_eps_lp_is_the_worst_defect_over_the_realized_grids(suite, weak_grid, mo
         if weak_grid:
             # a shrunken grid whose defect exceeds the root's: phi_hat(0) = 0.5
             psi, phi = bank.realize((16, 16))
-            bank._cache[(16, 16)] = (psi, 0.5 * phi)
+            x, y = bank.phi_factors((16, 16))
+            # halving is exact, so this product is 0.5 * phi; the store adds kernels and circulants
+            bank._store((16, 16), (psi, 0.5 * phi, (0.5 * x, y)))
         banks.append(bank)
         return bank
 
