@@ -90,23 +90,29 @@ class RunConfig:
                             pool_cfg=self.pool_config(), output_subsample=self.subsample_outputs)
 
 
+# the form each typed field's text must have, named in the error when it does not
+_FORMS = {"int": "an integer", "float": "a number", "bool": "a boolean",
+          "tuple[int, ...]": "N or N0xN1"}
+
+
 def _coerce(name: str, kind: str, raw: str):
+    """The value of field ``name`` spelled ``raw``; a malformed one fails naming both."""
     raw = raw.strip()
     if kind.endswith(" | None"):
         return None if raw.lower() in ("none", "") else _coerce(name, kind[:-len(" | None")], raw)
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"config key {name}: expected a boolean, got {raw!r}")
-    if kind == "tuple[int, ...]":
-        parts = raw.lower().split("x")
-        return tuple(int(p) for p in parts) if len(parts) > 1 else (int(raw), int(raw))
+    try:
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+        if kind == "bool":
+            return {"1": True, "true": True, "yes": True, "on": True,
+                    "0": False, "false": False, "no": False, "off": False}[raw.lower()]
+        if kind == "tuple[int, ...]":
+            parts = raw.lower().split("x")
+            return tuple(int(p) for p in parts) if len(parts) > 1 else (int(raw), int(raw))
+    except (KeyError, ValueError):
+        raise ValueError(f"{name}: expected {_FORMS[kind]}, got {raw!r}") from None
     return raw
 
 
@@ -140,7 +146,10 @@ def load_config(path: str | None) -> RunConfig:
         key = key.strip().lower()
         if key not in _FIELD_KINDS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        updates[key] = _coerce(key, _FIELD_KINDS[key], value)
+        try:
+            updates[key] = _coerce(key, _FIELD_KINDS[key], value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: config key {exc}") from None
         if key in _FIELD_CHOICES:
             label, choices = _FIELD_CHOICES[key]
             if updates[key] not in choices:

@@ -20,6 +20,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from .grid import direct_kernel_parts
+
 BANK_KINDS = ("morlet", "partition")
 EQUALIZE_FLOOR = np.finfo(np.float64).eps  # A_psi at or below this share of its peak is rounding
 # The longest axis phi gets a circulant on (FilterBank.phi_circulants).  A matrix
@@ -110,7 +112,8 @@ class FilterBank:
 
     spec: BankSpec
     grid_shape: tuple[int, ...]
-    # shape -> (psi mapping, phi, phi's factors, their kernels, their circulants)
+    # shape -> (psi mapping, phi, phi's factors, their kernels, their circulants,
+    #           psi's kernels once the direct evaluator asks for them, else None)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -184,6 +187,24 @@ class FilterBank:
         """
         return self._realized(shape)[4]
 
+    def psi_kernels(self, shape: tuple[int, ...]) -> Mapping[FilterIndex, np.ndarray]:
+        """Read-only spatial kernels of psi on ``shape``, for the direct evaluator.
+
+        Each is ``ifftn(psi_hat)`` as its real and imaginary parts stacked
+        (:func:`~scatmaxp.grid.direct_kernel_parts`).  They are made on the
+        first request for ``shape`` and kept in its realization, so the fft
+        method never makes or holds them.
+        """
+        realization = self._realized(shape)
+        if realization[5] is None:
+            kernels = {}
+            for index, psi_hat in realization[0].items():
+                kernels[index] = direct_kernel_parts(psi_hat)
+                kernels[index].flags.writeable = False
+            realization = realization[:5] + (MappingProxyType(kernels),)
+            self._cache[tuple(shape)] = realization
+        return realization[5]
+
     def _realized(self, shape: tuple[int, ...]):
         shape = tuple(shape)
         if shape not in self._cache:  # a hit equals a checked shape: only a miss is checked
@@ -201,14 +222,17 @@ class FilterBank:
         return self._cache[shape]
 
     def _store(self, shape: tuple[int, ...], realization) -> None:
-        """Keep a realization (psi mapping, phi, factors) with its factors' kernels and circulants."""
+        """Keep a realization (psi mapping, phi, factors) with its factors' kernels and circulants.
+
+        psi's kernels are left for :meth:`psi_kernels` to make on request.
+        """
         kernels = []
         for a in realization[2]:
             # a copy, so a kept kernel does not hold the complex transform behind a view
             kernel = np.fft.ifftn(a).real.copy()
             kernel.flags.writeable = False
             kernels.append(kernel)
-        self._cache[shape] = (*realization, tuple(kernels), _circulants(kernels))
+        self._cache[shape] = (*realization, tuple(kernels), _circulants(kernels), None)
 
 
 def build_morlet_bank(J: int, L: int, grid_shape: tuple[int, ...],

@@ -165,7 +165,8 @@ def translate_with_plate(f: SignalGrid, c: tuple[float, ...]) -> SignalGrid:
     return SignalGrid(moved, f.values)
 
 
-def convolve(f: SignalGrid, kernel_hat: np.ndarray, method: str = "fft") -> SignalGrid:
+def convolve(f: SignalGrid, kernel_hat: np.ndarray, method: str = "fft",
+             kernel_parts: np.ndarray | None = None) -> SignalGrid:
     """Circular convolution with a frequency-domain kernel.
 
     Parameters
@@ -181,6 +182,11 @@ def convolve(f: SignalGrid, kernel_hat: np.ndarray, method: str = "fft") -> Sign
         to the last bit (useful for equivariance certification); see
         :func:`_direct_circular_convolve` for the term order, its memory and
         its cost.
+    kernel_parts : ndarray, optional
+        For the direct method, the spatial kernel ``ifftn(kernel_hat)`` as
+        :func:`direct_kernel_parts` gives it, if the caller already has it (a
+        bank keeps its wavelets' in :meth:`FilterBank.psi_kernels`); it is
+        made from ``kernel_hat`` otherwise.
     """
     kernel_hat = np.asarray(kernel_hat)
     if kernel_hat.shape != f.shape:
@@ -188,10 +194,17 @@ def convolve(f: SignalGrid, kernel_hat: np.ndarray, method: str = "fft") -> Sign
     if method == "fft":
         out = np.fft.ifftn(np.fft.fftn(f.values) * kernel_hat)
     elif method == "direct":
-        out = _direct_circular_convolve(f.values, np.fft.ifftn(kernel_hat))
+        if kernel_parts is None:
+            kernel_parts = direct_kernel_parts(kernel_hat)
+        out = _direct_convolve_parts(f.values, kernel_parts)
     else:
         raise ValueError(f"unknown convolution method {method!r}")
     return f.with_values(out)
+
+
+def direct_kernel_parts(kernel_hat: np.ndarray) -> np.ndarray:
+    """The spatial kernel of ``kernel_hat`` as the direct evaluator reads it: :func:`_real_parts`."""
+    return _real_parts(np.fft.ifftn(kernel_hat))
 
 
 def _direct_circular_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -201,19 +214,29 @@ def _direct_circular_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndar
     a 1-D array is one row (n0 = 1).  Each kernel axis is the values' length
     or 1; a length-1 axis is a delta along it, so a separable kernel runs as
     two calls, one per axis, at n0 + n1 taps per output instead of n0 n1.
-    Three stages, on real arrays, over the kernel's k0 x k1 taps:
 
-    1. ``rows[j, r, y] = values[r, (y - j) % n1]`` for j < k1, the last-axis
-       circulant, made contiguous with j outermost;
-    2. ``part[i, r, y] = sum_j kernel[i, j] * rows[j, r, y]``, one ``np.einsum``
-       multiply-add sweep per tap j over every (r, y);
-    3. ``out[x, y] = sum_i part[i, (x - i) % n0, y]`` for i < k0, one sum over
-       a skewed view of ``part`` doubled along r.
+    A kernel with a length-1 axis (every 1-D kernel, and each pass of a
+    separable one) has taps along one axis only: ``g[t, r, y]``, the values
+    shifted by t along that axis, is one strided view of the values doubled
+    along it, and ``out = sum_t kernel[t] * g[t]`` is one ``np.einsum``
+    multiply-add sweep per tap t, in increasing t.  A full 2-D kernel of k0 x
+    k1 taps runs in three stages:
+
+    1. ``rows[j, r, y] = values[r % n0, (y - j) % n1]`` for j < k1 and r < 2 n0,
+       the last-axis circulant of the values doubled along r, made contiguous
+       with j outermost;
+    2. ``part[i, x, y] = sum_j kernel[i, j] * rows[j, n0 + x - i, y]``, one
+       ``np.einsum`` multiply-add sweep per tap j, reading ``rows`` through a
+       view skewed by i, so that ``part[i, x]`` holds row (x - i) % n0 of the
+       filtered rows;
+    3. ``out[x, y] = sum_i part[i, x, y]`` for i < k0, one sum over i.
 
     Each output's terms, and the order they are added in, depend on the tap
     (i, j) alone, never on the output position (x, y).  A circular shift of
-    the input shifts ``rows`` and ``part`` along (r, y) and changes no
-    summand, so the evaluator commutes with circular shifts bit for bit.
+    the input shifts ``g``, ``rows`` and ``part`` along (x, y) and changes no
+    summand, so the evaluator commutes with circular shifts bit for bit.  The
+    one-axis sweep and the skewed read add the same terms in the same order as
+    an unskewed stage 2 followed by a skewed sum, so all give the same bits.
 
     Complex operands go in as stacked real and imaginary parts, combined as
     (ar kr - ai ki) + i (ar ki + ai kr); a zero imaginary part adds exact
@@ -225,30 +248,61 @@ def _direct_circular_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndar
     2 as a matmul broke equivariance on a constant 14-sample signal shifted
     by one.
 
-    Working memory is ``rows`` (m n0 n1 k1 floats), then ``part`` and its
-    doubled copy (3 m q n0 n1 k0 floats), with m and q the parts of values and
-    kernel (1 real, 2 complex): a 1.6 MB peak at 32^2 with a full complex kernel.
+    Working memory, with m and q the parts of values and kernel (1 real, 2
+    complex): a one-axis kernel needs the doubled values (2 m n0 n1 floats)
+    and the sums (m q n0 n1); a full kernel needs ``rows`` (2 m n0 n1 k1) and
+    ``part`` (m q n0 n1 k0), 1 MB at 32^2 with a full complex kernel, taken
+    as one block.  glibc's malloc follows the largest block freed, keeping
+    later blocks of up to that size on its heap and returning its top only
+    beyond twice that size; ``rows`` and ``part`` taken as two blocks of 512
+    KB were returned after every call and faulted in again on the next, 224
+    page faults per call and about 40% more time.  Measured at 32^2 on a 2-vCPU
+    Xeon (numpy 2.4, one thread), a full complex kernel on real values takes
+    0.6-0.9 ms, nearly all of it the stage-2 einsum, and a one-axis pass
+    25-55 us.
     """
+    return _direct_convolve_parts(values, _real_parts(kernel))
+
+
+def _direct_convolve_parts(values: np.ndarray, kernel_parts: np.ndarray) -> np.ndarray:
+    """:func:`_direct_circular_convolve` of a kernel given as :func:`_real_parts` stacks it."""
     shape = values.shape
-    if kernel.ndim != values.ndim or any(k not in (1, n) for k, n in zip(kernel.shape, shape)):
-        raise ValueError(f"kernel shape {kernel.shape} does not fit values of shape {shape}: "
+    kernel_shape = kernel_parts.shape[1:]
+    if len(kernel_shape) != len(shape) or any(k not in (1, n) for k, n in zip(kernel_shape, shape)):
+        raise ValueError(f"kernel shape {kernel_shape} does not fit values of shape {shape}: "
                          "each kernel axis must be the values' length or 1")
     pad = (1,) * (2 - len(shape))
-    v, k = (_real_parts(a.reshape(pad + a.shape)) for a in (values, kernel))
+    v = _real_parts(values.reshape(pad + shape))
+    k = kernel_parts.reshape(kernel_parts.shape[:1] + pad + kernel_shape)
     (m, n0, n1), (q, k0, k1) = v.shape, k.shape
     as_strided = np.lib.stride_tricks.as_strided
-    # stage 1: rows[j, a, r, y] = v[a, r, (y - j) % n1], for value part a
-    doubled = np.concatenate((v, v), axis=-1)
-    s = doubled.strides
-    rows = as_strided(doubled[..., n1:], (k1,) + v.shape, (-s[-1],) + s)
-    # stage 2: part[a, b, i, r, y] = sum_j k[b, i, j] rows[j, a, r, y], for kernel part b
-    part = np.einsum("jary,bij->abiry", np.ascontiguousarray(rows), k)
-    # stage 3: sums[a, b, x, y] = sum_i part[a, b, i, (x - i) % n0, y]
-    doubled = np.concatenate((part, part), axis=3)
-    s = doubled.strides
-    skewed = as_strided(doubled[:, :, :, n0:], (m, q, n0, k0, n1),
-                        s[:2] + (s[3], s[2] - s[3], s[4]))
-    sums = skewed.sum(axis=3).reshape((m, q) + shape)
+    if k0 == 1 or k1 == 1:
+        # g[t, a, r, y] = v[a, r, (y - t) % n1] (or v[a, (r - t) % n0, y]), for value part a
+        axis = 2 if k0 == 1 else 1
+        n = v.shape[axis]
+        doubled = np.concatenate((v, v), axis=axis)
+        s = doubled.strides
+        g = as_strided(doubled[:, :, n:] if axis == 2 else doubled[:, n:],
+                       (k0 * k1,) + v.shape, (-s[axis],) + s)
+        # sums[a, b, r, y] = sum_t k[b, t] g[t, a, r, y], for kernel part b
+        sums = np.einsum("tary,bt->abry", g, k.reshape(q, k0 * k1))
+    else:
+        # one block holds rows and part (see the docstring's working memory)
+        size = k1 * m * 2 * n0 * n1
+        work = np.empty(size + m * q * k0 * n0 * n1, np.result_type(v, k))
+        # stage 1: rows[j, a, r, y] = v[a, r % n0, (y - j) % n1], for r < 2 n0
+        doubled = np.tile(v, (1, 2, 2))
+        s = doubled.strides
+        rows = work[:size].reshape(k1, m, 2 * n0, n1)
+        rows[...] = as_strided(doubled[..., n1:], rows.shape, (-s[-1],) + s)
+        # stage 2: part[a, b, i, x, y] = sum_j k[b, i, j] rows[j, a, n0 + x - i, y]
+        s = rows.strides
+        skewed = as_strided(rows[:, :, n0:], (k0, k1, m, n0, n1), (-s[2],) + s)
+        part = work[size:].reshape(m, q, k0, n0, n1)
+        np.einsum("ijaxy,bij->abixy", skewed, k, out=part)
+        # stage 3: sums[a, b, x, y] = sum_i part[a, b, i, x, y]
+        sums = part.sum(axis=2)
+    sums = sums.reshape((m, q) + shape)
     if m * q == 1:
         return sums[0, 0]
     out = np.empty(shape, np.complex128)

@@ -101,7 +101,8 @@ def propagate_one(
     """One wavelet-modulus step |psi_lambda * f|, stored as float64.
 
     The fft method filters ``f_hat``, ``fftn(f.values)`` if the caller already
-    has it, or else transforms f itself; other methods use :func:`convolve`.
+    has it, or else transforms f itself; other methods use :func:`convolve`,
+    the direct one with the bank's kept kernel (:meth:`FilterBank.psi_kernels`).
     """
     psi, _ = bank.realize(f.shape)
     if index not in psi:
@@ -110,7 +111,8 @@ def propagate_one(
         work = (np.fft.fftn(f.values) if f_hat is None else f_hat) * psi[index]
         values = np.fft.ifftn(work, out=work)
     else:
-        values = convolve(f, psi[index], method=method).values
+        kernel = bank.psi_kernels(f.shape)[index] if method == "direct" else None
+        values = convolve(f, psi[index], method=method, kernel_parts=kernel).values
     return SignalGrid._adopt(f.plate, np.abs(values))
 
 

@@ -336,7 +336,7 @@ def check_shift_equivariance_plain(
     offsets = tuple(n // 4 for n in shape)
     shifted = translate_in_plate(f, offsets)
     for J_diag in (1, 2, 3):
-        bank_j = replace(config.bank, J=J_diag).build(shape)
+        bank_j = bank if J_diag == config.bank.J else replace(config.bank, J=J_diag).build(shape)
         t_f = compute_tree(f, bank_j, "plain", depth, "full")
         t_s = compute_tree(shifted, bank_j, "plain", depth, "full")
         diff = sum(

@@ -115,6 +115,33 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=message):
             load_config(str(cfg_file))
 
+    @pytest.mark.parametrize("text,message", [
+        ("j = two\n", ":1: config key j: expected an integer, got 'two'"),
+        ("grid = 32\npool_factor = abc\n", ":2: config key pool_factor: expected a number, got 'abc'"),
+        ("depth = 2.5\n", ":1: config key depth: expected an integer, got '2.5'"),
+        ("slant = wide\n", ":1: config key slant: expected a number, got 'wide'"),
+        ("grid = 64x\n", ":1: config key grid: expected N or N0xN1, got '64x'"),
+        ("grid = abc\n", ":1: config key grid: expected N or N0xN1, got 'abc'"),
+    ])
+    def test_malformed_values_name_file_line_key_and_form(self, tmp_path, capsys, text, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            load_config(str(cfg_file))
+        assert str(caught.value) == f"{cfg_file}{message}"
+        out = tmp_path / "bank"
+        assert main(["filterbank", "--config", str(cfg_file), "--out", str(out)]) == EXIT_FAIL
+        assert capsys.readouterr().err == f"error: {cfg_file}{message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["filterbank", "verify", "bench"])
+    @pytest.mark.parametrize("grid", ["64x", "abc", "x64", "8.5", "32x16x"])
+    def test_malformed_grid_flag_is_named(self, tmp_path, capsys, command, grid):
+        out = tmp_path / "out"
+        assert main([command, "--grid", grid, "--out", str(out)]) == EXIT_FAIL
+        assert capsys.readouterr().err == f"error: grid: expected N or N0xN1, got {grid!r}\n"
+        assert not out.exists()
+
     def test_unreadable_config_file_is_named(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
         with pytest.raises(ValueError, match=f"cannot read config file {missing}"):

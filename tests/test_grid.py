@@ -1,5 +1,7 @@
 """Plate/signal primitives: norms, translations, circular convolution, file formats."""
 
+import hashlib
+import itertools
 import re
 import warnings
 
@@ -84,6 +86,32 @@ DIRECT_CASES = [
 # (complex values, complex kernel): all four pairings
 DIRECT_PAIRINGS = [pytest.param((v, k), id=f"{KINDS[v]}-values-{KINDS[k]}-kernel")
                    for v in (False, True) for k in (False, True)]
+
+
+# The first 16 hex digits of a sha256 over the outputs of each DIRECT_CASES case
+# (key: shape, kernel shape, constant values), in DIRECT_PAIRINGS order, as the
+# three-stage evaluator gave them with numpy 2.4 on x86-64 (whose einsum does not
+# fuse multiply-adds).  Any later evaluator must give the same bits.
+DIRECT_DIGESTS = {
+    ((14,), (14,), True): "201d8ee3469873f6",
+    ((1,), (1,), False): "c25913e58e9c91d6",
+    ((7,), (7,), False): "c9c93be36befbdfb",
+    ((16,), (16,), False): "4ee3fd988827ffd4",
+    ((1, 1), (1, 1), False): "c25913e58e9c91d6",
+    ((1, 9), (1, 9), False): "cfdd1f990a6c955e",
+    ((6, 1), (6, 1), False): "17f09fce1ccb94a6",
+    ((4, 12), (4, 12), False): "f734892e11702c54",
+    ((5, 7), (5, 7), False): "2396747fb2b9e3f1",
+    ((8, 8), (8, 8), False): "f213f543d8e3325c",
+    ((16, 16), (16, 16), False): "2d0b81375799022f",
+    ((14,), (1,), True): "369d88dab448273f",
+    ((14, 14), (14, 1), True): "f59cfbcd1b3bc165",
+    ((5, 7), (5, 1), False): "416f227a2f41df79",
+    ((5, 7), (1, 7), False): "cee1500e7994f86a",
+    ((16, 48), (16, 1), False): "fc85a38ba5662f97",
+    ((16, 48), (1, 48), False): "f4c15091da50464c",
+    ((6, 1), (1, 1), False): "f1aa9d75eec9b3aa",
+}
 
 
 def direct_operands(shape, constant, pairing, kernel_shape, seed=10):
@@ -393,6 +421,15 @@ class TestConvolve:
         message = f"kernel shape {kernel_shape} does not fit values of shape {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
             _direct_circular_convolve(np.ones(shape), np.ones(kernel_shape))
+
+    @pytest.mark.parametrize("shape, shifts, constant, kernel_shape", DIRECT_CASES)
+    def test_direct_method_keeps_its_recorded_bits(self, shape, shifts, constant, kernel_shape):
+        digest = hashlib.sha256()
+        for pairing in itertools.product((False, True), repeat=2):
+            values, kernel, _ = direct_operands(shape, constant, pairing, kernel_shape)
+            out = _direct_circular_convolve(values, kernel)
+            digest.update(out.dtype.str.encode() + out.tobytes())
+        assert digest.hexdigest()[:16] == DIRECT_DIGESTS[shape, kernel_shape, constant]
 
     def test_unknown_method_rejected(self):
         f = SignalGrid(unit_plate((4,)), np.ones(4))

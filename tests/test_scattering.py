@@ -1,5 +1,6 @@
 """Path enumeration, the three cascades, and the architecture arithmetic."""
 
+import hashlib
 import math
 import os
 import re
@@ -286,6 +287,17 @@ class TestComputeTree:
             assert np.array_equal(
                 tree_s.outputs[p].values, np.roll(tree_f.outputs[p].values, c, (0, 1))
             )
+
+    def test_direct_tree_keeps_its_recorded_bits(self, bank32):
+        # the first 16 hex digits of a sha256 over every node and output, as the
+        # three-stage evaluator gave them with numpy 2.4 on x86-64 (see
+        # test_grid.DIRECT_DIGESTS): kept kernels and one-axis passes change no bit
+        f = random_signal((32, 32), seed=7)
+        tree = compute_tree(f, bank32, "plain", 2, conv_method="direct")
+        digest = hashlib.sha256()
+        for p in sorted(tree.nodes):
+            digest.update(tree.nodes[p].values.tobytes() + tree.outputs[p].values.tobytes())
+        assert digest.hexdigest()[:16] == "d4e7a9ecd1357450"
 
     @settings(max_examples=50, deadline=None, database=None)
     @given(data=st.data(), d=st.integers(1, 2), complex_input=st.booleans())

@@ -91,3 +91,20 @@ def test_one_window_span_per_node_in_node_order(monkeypatch, mode, output_subsam
     counts = tracing.paths_per_depth(2, 2, 2, "full")
     assert [tracing._depth_of(k, counts, 0) for k in range(len(spans))] == [
         len(path) for path in tree.nodes]
+
+
+@pytest.mark.parametrize("shape, L", [((16, 16), 2), ((32,), 1)])
+def test_one_direct_span_per_child_inside_its_propagate_span(monkeypatch, shape, L):
+    # direct propagations reach the evaluator through scattering.convolve, kept kernels or not
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        bank = filterbank.BankSpec(J=2, L=L).build(shape)
+        f = SignalGrid(unit_plate(shape), np.random.default_rng(3).random(shape))
+        tree = scattering.compute_tree(f, bank, "plain", 2, conv_method="direct")
+    children = len(tree.nodes) - 1
+    propagate = [s for s in tracer.spans if s.name == "scattering.propagate"]
+    direct = [s for s in tracer.spans if s.name == "grid.direct"]
+    assert len(propagate) == len(direct) == children == 2 * L + (2 * L) ** 2
+    assert [s.parent for s in direct] == propagate
